@@ -28,10 +28,17 @@ echo "== server robustness E2E (storm/shed, kill -9 recovery, SIGTERM drain) =="
 # Subprocess tests against the real binary: admission control sheds a
 # 2x-capacity storm with 429s, SIGKILL mid-write-storm recovers every
 # acked insert bit-identically, SIGTERM drains and checkpoints leaving
-# zero WAL replay debt. (Also run by `cargo test -q` above; repeated
-# here so a red run names the failing robustness claim directly.)
+# zero WAL replay debt. These suites live in workspace member crates,
+# which the root `cargo test -q` above does not run.
 cargo test -q -p nncell-cli --test server_e2e
 cargo test -q -p nncell-server
+
+echo "== NN-Direction one-pass gather vs brute-force oracle (proptest) =="
+# The build gathers each cell's NN-Direction rivals in one pruned tree
+# walk; this proves it finds every halfspace minimum and the exact
+# top-(8·d+1) by (d², id), for d in {1, 2, 3, 8, 16}, on lattice ties,
+# halfspace-boundary points and trees after removes.
+cargo test -q -p nncell-core --lib strategy::
 
 echo "== clippy (panic-free library crates) =="
 cargo clippy -p nncell-obs -p nncell-lp -p nncell-core -p nncell-server -p nncell-index --lib -- -D warnings -D clippy::unwrap_used

@@ -8,10 +8,10 @@
 //!   STR bulk load, one bounded approximate-kNN probe per point, 2·d LPs
 //!   over ~k constraints. Measured at every `n` in the ladder.
 //! * **exhaustive** — the same `NnDirection` strategy with the full
-//!   per-cell rival gather (an O(n) scan per cell). Measured up to
-//!   `NNCELL_EXHAUSTIVE_CAP` (default 32 000), then extrapolated by the
-//!   power law fitted to the measured pairs — the super-linear growth is
-//!   exactly what makes measuring it at 128 000 impractical.
+//!   per-cell rival gather (one pruned best-first tree walk per cell).
+//!   Measured up to `NNCELL_EXHAUSTIVE_CAP` (default 32 000), then
+//!   extrapolated by the power law fitted to the measured pairs, which
+//!   keeps the full run short.
 //! * **all-pairs** — `CorrectPruned`, the original construction this PR's
 //!   pool replaces outright: every point contributes a bisector candidate
 //!   to every cell. Measured at the calibration sizes only, then
@@ -28,9 +28,9 @@
 //! paper-scale claim from both fits at n = 100 000. The JSON records the
 //! raw points and both fits so either number can be re-derived, plus
 //! `speedup_vs_exhaustive` — the fully measured pooled-vs-`NnDirection`
-//! ratio at the largest size both were run (a much weaker baseline: its
-//! per-cell gather is an O(n) scan but its LPs stay small, so it trails
-//! the pool by a constant-ish factor rather than an exponent). Every
+//! ratio at the largest size both were run (its per-cell gather is one
+//! pruned tree walk and its LPs stay small, so the two differ by a
+//! constant factor rather than an exponent). Every
 //! pooled build is parity-checked against a linear scan on a probe set
 //! before its time is accepted.
 //!

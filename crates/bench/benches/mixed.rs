@@ -158,12 +158,16 @@ fn main() {
         }
         folded_reads.sort_unstable();
         let folded_read_p99 = percentile_us(&folded_reads, 0.99);
-        let fold_krecs = folded as f64 / fold_s.max(f64::MIN_POSITIVE) / 1e3;
+        let fold_recs = folded as f64 / fold_s.max(f64::MIN_POSITIVE);
+        assert!(
+            folded > 0 && fold_recs > 0.0,
+            "the flush folded nothing (n={n})"
+        );
 
         println!(
             "n={n}: ack p99 sync {sync_ack_p99:.1} µs vs memtable {mem_ack_p99:.1} µs — \
              read p99 sync {sync_read_p99:.1} µs, tail-merged {tail_read_p99:.1} µs, \
-             folded {folded_read_p99:.1} µs — fold {folded} recs @ {fold_krecs:.0}k/s"
+             folded {folded_read_p99:.1} µs — fold {folded} recs @ {fold_recs:.2}/s"
         );
         memtable_p99s.push((n, mem_ack_p99));
         rows.push(format!(
@@ -173,7 +177,7 @@ fn main() {
              \"tail_read_p99_us\": {tail_read_p99:.2},\n      \
              \"folded_read_p99_us\": {folded_read_p99:.2},\n      \
              \"tail_depth_at_flush\": {tail_depth},\n      \
-             \"fold_krecords_per_s\": {fold_krecs:.1},\n      \
+             \"fold_records_per_s\": {fold_recs:.2},\n      \
              \"build_seconds\": {build_s:.2}\n    }}"
         ));
     }

@@ -107,7 +107,8 @@ pub struct QueryEngine<'a, M: Metric = Euclidean> {
     /// When false, this engine skips metric recording even if the index has
     /// a registry attached (overhead A/B runs; see the bench).
     record_metrics: bool,
-    /// Optional per-request time budget (see [`QueryEngine::with_deadline`]).
+    /// Optional time budget for every query of a shard fan-out (see
+    /// [`QueryEngine::with_deadline_opt`]).
     deadline: Option<std::time::Instant>,
     /// Optional unindexed memtable tail merged into every answer (see
     /// [`QueryEngine::with_tail`]).
@@ -154,40 +155,17 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         self
     }
 
-    /// Attaches an engine-level time budget applied to **every** query this
-    /// engine executes.
-    ///
-    /// Deprecated: per-request options now ride on the query itself —
-    /// `Query::knn(q, k).with_deadline(d)` — so one engine can serve
-    /// requests with different budgets concurrently. This engine-level
-    /// variant remains for one release; while both are set the *earlier*
-    /// deadline wins.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set the budget per request via `Query::with_deadline`; \
-                the engine-level deadline will be removed after one release"
-    )]
-    pub fn with_deadline(mut self, deadline: std::time::Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// [`Self::with_deadline`] with an `Option`, for internal threading
-    /// (shard fan-out applies one admission deadline to a whole batch
-    /// without cloning every query).
+    /// An engine-level time budget applied to every query this engine
+    /// executes: shard fan-out applies one admission deadline to a whole
+    /// batch without cloning every query. Callers set budgets per request
+    /// with [`Query::with_deadline`].
     pub(crate) fn with_deadline_opt(mut self, deadline: Option<std::time::Instant>) -> Self {
         self.deadline = deadline;
         self
     }
 
-    /// The configured engine-level deadline, if any (does not see
-    /// per-request [`Query::with_deadline`] budgets).
-    pub fn deadline(&self) -> Option<std::time::Instant> {
-        self.deadline
-    }
-
     /// The deadline that governs `q` on this engine: the earlier of the
-    /// per-request budget and the deprecated engine-level one.
+    /// per-request budget and the fan-out one.
     fn effective_deadline(&self, q: &Query) -> Option<std::time::Instant> {
         match (self.deadline, q.deadline()) {
             (Some(a), Some(b)) => Some(a.min(b)),

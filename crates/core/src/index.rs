@@ -4,7 +4,7 @@ use crate::config::{BuildConfig, ConstraintPool, InputPolicy, Strategy};
 use crate::decompose::decompose_cell;
 use crate::engine::QueryEngine;
 use crate::metrics::{EngineMetrics, IndexMetrics};
-use crate::strategy::{gather_rival_ids, nearest_rivals};
+use crate::strategy::{gather_rival_ids, nearest_rivals, GatherScratch};
 use nncell_geom::{DataSpace, Euclidean, Mbr, Metric, Point};
 use nncell_index::{IoStats, TreeConfig, TreeMetrics, XTree};
 use nncell_lp::{CellLpStats, LpMetrics, VoronoiLp};
@@ -366,7 +366,10 @@ impl<M: Metric> NnCellIndex<M> {
         let threads = idx.cfg.threads.clamp(1, n.max(1));
         let results: Vec<CellComputation> = if threads == 1 {
             let batch_start = Instant::now();
-            let r = (0..n).map(|id| idx.compute_cell_pieces(id)).collect();
+            let mut scratch = GatherScratch::new();
+            let r = (0..n)
+                .map(|id| idx.compute_cell_pieces(id, &mut scratch))
+                .collect();
             idx.build_stats
                 .profile
                 .record_batch(elapsed_nanos(batch_start));
@@ -381,8 +384,9 @@ impl<M: Metric> NnCellIndex<M> {
                             let batch_start = Instant::now();
                             let lo = w * chunk;
                             let hi = ((w + 1) * chunk).min(n);
+                            let mut scratch = GatherScratch::new();
                             let part: Vec<(usize, CellComputation)> = (lo..hi)
-                                .map(|id| (id, idx_ref.compute_cell_pieces(id)))
+                                .map(|id| (id, idx_ref.compute_cell_pieces(id, &mut scratch)))
                                 .collect();
                             (part, elapsed_nanos(batch_start))
                         })
@@ -705,8 +709,9 @@ impl<M: Metric> NnCellIndex<M> {
     /// cells repaired.
     pub fn repair(&mut self) -> usize {
         let bad = self.verify_integrity().bad_cells;
+        let mut scratch = GatherScratch::new();
         for &id in &bad {
-            self.refresh_cell(id);
+            self.refresh_cell(id, &mut scratch);
         }
         bad.len()
     }
@@ -739,7 +744,8 @@ impl<M: Metric> NnCellIndex<M> {
         self.cells.push(CellApprox::default());
         self.live_count += 1;
 
-        let (pieces, stats, cands, timings) = self.compute_cell_pieces(id);
+        let mut scratch = GatherScratch::new();
+        let (pieces, stats, cands, timings) = self.compute_cell_pieces(id, &mut scratch);
         self.build_stats.lp.merge(stats);
         self.build_stats.candidates += cands;
         self.build_stats.pool_fallback_cells += timings.pool_fellback as usize;
@@ -787,7 +793,7 @@ impl<M: Metric> NnCellIndex<M> {
                     });
                     if cut {
                         self.build_stats.insert_refreshes += 1;
-                        self.refresh_cell(pid);
+                        self.refresh_cell(pid, &mut scratch);
                     } else {
                         self.build_stats.insert_refreshes_skipped += 1;
                     }
@@ -872,8 +878,9 @@ impl<M: Metric> NnCellIndex<M> {
                 .collect();
             affected.sort_unstable();
             affected.dedup();
+            let mut scratch = GatherScratch::new();
             for pid in affected {
-                self.refresh_cell(pid);
+                self.refresh_cell(pid, &mut scratch);
             }
         }
         self.refresh_gauges();
@@ -894,7 +901,7 @@ impl<M: Metric> NnCellIndex<M> {
     /// clamped, the "pool too tight" signal — falls back to the exhaustive
     /// strategy gathering below and is counted in
     /// [`BuildStats::pool_fallback_cells`].
-    fn compute_cell_pieces(&self, id: usize) -> CellComputation {
+    fn compute_cell_pieces(&self, id: usize, scratch: &mut GatherScratch) -> CellComputation {
         let p = &self.points[id];
         let d = self.dim();
         let seed = self.cfg.seed ^ ((id as u64).wrapping_mul(0x9e3779b97f4a7c15));
@@ -988,6 +995,7 @@ impl<M: Metric> NnCellIndex<M> {
                 &self.alive,
                 &self.point_tree,
                 self.live_count,
+                scratch,
             );
             self.vlp
                 .bisectors(p, rivals.iter().map(|&j| self.points[j].as_slice()))
@@ -1092,8 +1100,8 @@ impl<M: Metric> NnCellIndex<M> {
         }
     }
 
-    fn refresh_cell(&mut self, id: usize) {
-        let (pieces, stats, cands, timings) = self.compute_cell_pieces(id);
+    fn refresh_cell(&mut self, id: usize, scratch: &mut GatherScratch) {
+        let (pieces, stats, cands, timings) = self.compute_cell_pieces(id, scratch);
         self.build_stats.lp.merge(stats);
         self.build_stats.candidates += cands;
         self.build_stats.pool_fallback_cells += timings.pool_fellback as usize;

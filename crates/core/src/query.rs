@@ -49,10 +49,7 @@ pub enum QueryKind {
 /// ```
 ///
 /// Per-request options ride on the query itself, so one engine can serve
-/// requests with different budgets concurrently. The engine-level
-/// [`crate::QueryEngine::with_deadline`] is deprecated in favor of
-/// [`Query::with_deadline`]; while both exist the *earlier* of the two
-/// deadlines wins.
+/// requests with different budgets concurrently.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Query {
     point: Vec<f64>,

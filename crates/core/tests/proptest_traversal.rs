@@ -176,27 +176,21 @@ fn expired_query_deadline_rejects() {
     assert!(matches!(err, QueryError::DeadlineExceeded));
 }
 
-/// The deprecated engine-level deadline keeps working for one release;
-/// while both deadlines are set the earlier one wins.
+/// A generous per-request budget lets the query through with the same
+/// answer as an undecorated one.
 #[test]
-#[allow(deprecated)]
-fn engine_level_deadline_still_honored_until_removal() {
+fn generous_query_deadline_is_honored() {
     let pts: Vec<Point> = (0..64)
         .map(|i| Point::new(vec![(i % 8) as f64 / 8.0 + 0.06, (i / 8) as f64 / 8.0 + 0.06]))
         .collect();
     let idx = build(pts);
-    let now = std::time::Instant::now();
-    let stale = now - std::time::Duration::from_millis(1);
-    let generous = now + std::time::Duration::from_secs(60);
-    let engine = QueryEngine::sequential(&idx).with_deadline(stale);
-    // Engine-level stale budget rejects even a query with a generous one.
-    let err = engine
+    let engine = QueryEngine::sequential(&idx);
+    let generous = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let plain = engine.execute(&Query::knn([0.5, 0.5], 3)).unwrap();
+    let timed = engine
         .execute(&Query::knn([0.5, 0.5], 3).with_deadline(generous))
-        .unwrap_err();
-    assert!(matches!(err, QueryError::DeadlineExceeded));
-    // And the generous engine budget lets an undecorated query through.
-    let engine = QueryEngine::sequential(&idx).with_deadline(generous);
-    assert!(engine.execute(&Query::knn([0.5, 0.5], 3)).is_ok());
+        .unwrap();
+    assert_eq!(timed, plain);
 }
 
 /// Growing `k` can only weaken the abort bound, so the evaluation work

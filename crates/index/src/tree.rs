@@ -938,73 +938,6 @@ impl Tree {
         }
     }
 
-    /// Nearest item restricted to the open axis halfspace
-    /// `sign·(x[dim] − q[dim]) > 0` — the directional NN of the paper's
-    /// **NN-Direction** strategy (2·d of these per cell).
-    pub fn nn_in_halfspace(&self, q: &[f64], dim: usize, positive: bool) -> Option<Neighbor> {
-        let in_halfspace = |m: &Mbr| {
-            if positive {
-                m.hi()[dim] > q[dim]
-            } else {
-                m.lo()[dim] < q[dim]
-            }
-        };
-        #[derive(PartialEq)]
-        struct It {
-            key: f64,
-            target: Result<PageId, (ItemId, f64)>,
-        }
-        impl Eq for It {}
-        impl PartialOrd for It {
-            fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-                Some(self.cmp(o))
-            }
-        }
-        impl Ord for It {
-            fn cmp(&self, o: &Self) -> Ordering {
-                o.key.partial_cmp(&self.key).unwrap_or(Ordering::Equal)
-            }
-        }
-        let mut heap: BinaryHeap<It> = BinaryHeap::new();
-        heap.push(It {
-            key: 0.0,
-            target: Ok(self.root),
-        });
-        while let Some(it) = heap.pop() {
-            self.cost.cpu(1);
-            match it.target {
-                Err((id, d2)) => {
-                    return Some(Neighbor {
-                        id,
-                        dist: d2.sqrt(),
-                    })
-                }
-                Ok(page) => {
-                    self.touch(page);
-                    let n = self.node(page);
-                    self.cost.cpu(n.entries.len() as u64);
-                    for e in &n.entries {
-                        if !in_halfspace(&e.mbr) {
-                            continue;
-                        }
-                        let d2 = e.mbr.min_dist_sq(q);
-                        match e.payload {
-                            Payload::Item(id) => heap.push(It {
-                                key: d2,
-                                target: Err((id, d2)),
-                            }),
-                            Payload::Child(c) => heap.push(It {
-                                key: d2,
-                                target: Ok(c),
-                            }),
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-
     /// MINDIST-ordered best-first traversal that **streams leaf items to
     /// the caller** while the caller shrinks the pruning bound — the
     /// candidate-gathering replacement for [`Self::point_query_with`] /
@@ -1894,39 +1827,6 @@ mod tests {
         let small = t.page_sphere_query(&q, 0.05).len();
         let large = t.page_sphere_query(&q, 0.4).len();
         assert!(small <= large);
-    }
-
-    #[test]
-    fn halfspace_nn_matches_filtered_scan() {
-        let pts = points(250, 4, 21);
-        let t = build(SplitPolicy::RStar, &pts);
-        let q = [0.5, 0.4, 0.6, 0.5];
-        for dim in 0..4 {
-            for positive in [true, false] {
-                let got = t.nn_in_halfspace(&q, dim, positive);
-                let want = pts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| {
-                        if positive {
-                            p[dim] > q[dim]
-                        } else {
-                            p[dim] < q[dim]
-                        }
-                    })
-                    .min_by(|(_, a), (_, b)| dist_sq(&q, a).partial_cmp(&dist_sq(&q, b)).unwrap())
-                    .map(|(i, _)| i as ItemId);
-                assert_eq!(got.map(|n| n.id), want, "dim {dim} positive {positive}");
-            }
-        }
-    }
-
-    #[test]
-    fn halfspace_nn_none_when_empty_side() {
-        let mut t = Tree::new(TreeConfig::rstar(2).with_point_leaves(true));
-        t.insert(Mbr::from_point(&[0.2, 0.2]), 0);
-        assert!(t.nn_in_halfspace(&[0.5, 0.5], 0, true).is_none());
-        assert!(t.nn_in_halfspace(&[0.5, 0.5], 0, false).is_some());
     }
 
     #[test]
