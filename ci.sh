@@ -18,8 +18,12 @@ cd "$(dirname "$0")"
 echo "== build (release) =="
 cargo build --release --workspace
 
-echo "== tests =="
-cargo test -q
+echo "== tests (whole workspace) =="
+# Every member crate's suite, not only the root package: the shard, pool,
+# WAL and traversal proptests, memtable_chaos, engine_parity, alloc_free
+# and the obs trace tests guard the write path and the query plans. The
+# named steps below re-run their suites so a red run says which one.
+cargo test -q --workspace
 
 echo "== crash injection (kill-at-every-syscall, seed ${NNCELL_FAULT_SEED:=424242}) =="
 NNCELL_FAULT_SEED="$NNCELL_FAULT_SEED" cargo test -q --test crash_recovery
@@ -28,8 +32,8 @@ echo "== server robustness E2E (storm/shed, kill -9 recovery, SIGTERM drain) =="
 # Subprocess tests against the real binary: admission control sheds a
 # 2x-capacity storm with 429s, SIGKILL mid-write-storm recovers every
 # acked insert bit-identically, SIGTERM drains and checkpoints leaving
-# zero WAL replay debt. These suites live in workspace member crates,
-# which the root `cargo test -q` above does not run.
+# zero WAL replay debt, a directory in the earlier unsharded layout
+# serves and takes writes, and `serve --tail-max 0` is refused.
 cargo test -q -p nncell-cli --test server_e2e
 cargo test -q -p nncell-server
 
@@ -105,11 +109,11 @@ NNCELL_BUILD_NS="${NNCELL_BUILD_NS:-1000,2000}" \
     cargo bench -p nncell-bench --bench build_scaling
 
 echo "== mixed read/write bench (O(1) ack vs index size; writes BENCH_mixed.json) =="
-# The LSM write-path contract, asserted by the bench itself: memtable
-# insert/remove ack p99 must stay flat across n ∈ {2k, 8k, 32k} (within
-# 10x of the smallest size, 50 µs noise floor) while the synchronous
-# path grows with n; tail-merged answers must be bit-identical to the
-# folded answers. Runs the full default sizes (a few minutes, dominated
+# The LSM write-path contract, asserted by the bench itself: the
+# insert/remove ack p99 through the memtable tail must stay flat across
+# n ∈ {2k, 8k, 32k} (within 10x of the smallest size, 50 µs noise
+# floor), and tail-merged answers must be bit-identical to the folded
+# answers. Runs the full default sizes (a few minutes, dominated
 # by the 32k seed build) so the committed JSON proves the headline claim;
 # NNCELL_MIXED_NS=500,2000 gives a quick local smoke.
 cargo bench -p nncell-bench --bench mixed

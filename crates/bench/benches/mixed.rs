@@ -1,38 +1,28 @@
 //! Mixed read/write throughput for the LSM-style write path, written as
 //! JSON for CI trend tracking (`BENCH_mixed.json`).
 //!
-//! The headline claim under test: with the journaled memtable tail, an
-//! insert/remove ack does **O(1)** work — append to the tail, no cell
-//! construction, no snapshot publish — so ack latency is independent of
-//! index size. The synchronous write path (cell construction plus a
-//! copy-on-write snapshot publish per write) grows with `n` and serves
-//! as the contrast.
+//! The headline claim under test: every insert/remove ack goes through
+//! the journaled memtable tail and does **O(1)** work — append to the
+//! tail, no cell construction, no snapshot publish — so ack latency is
+//! independent of index size.
 //!
 //! For each database size (default n ∈ {2 000, 8 000, 32 000}; override
 //! with `NNCELL_MIXED_NS=a,b,c`):
 //!
 //! 1. build a 2-shard in-memory index once;
-//! 2. **sync pass**: a timed storm of mixed writes (7/8 inserts, 1/8
-//!    removes) with interleaved k-NN reads against the bare index;
-//! 3. **memtable pass**: wrap the same index via `with_memtable` and
-//!    repeat the storm — acks land in the tail, reads merge the tail by
-//!    linear scan;
-//! 4. **exactness**: a probe set is answered with the tail still
+//! 2. **storm**: a timed storm of mixed writes (7/8 inserts, 1/8
+//!    removes) with interleaved k-NN reads — acks land in the tail,
+//!    reads merge the tail by linear scan;
+//! 3. **exactness**: a probe set is answered with the tail still
 //!    unfolded, the tail is flushed into the cells, and the same probes
 //!    must answer *bit-identically* (Lemma 1: snapshot + tail − tombstones
 //!    is exact);
-//! 5. the bench asserts the memtable ack p99 at the largest `n` stays
-//!    within 10x of the smallest `n` (with a 50 µs noise floor) — a
-//!    generous bound that still catches any O(n) work leaking back into
-//!    the ack path.
+//! 4. the bench asserts the ack p99 at the largest `n` stays within 10x
+//!    of the smallest `n` (with a 50 µs noise floor) — a generous bound
+//!    that still catches any O(n) work leaking back into the ack path.
 //!
-//! The sync storm runs far fewer ops than the memtable storm
-//! (`NNCELL_MIXED_SYNC_OPS`, default 48): a synchronous ack costs
-//! hundreds of milliseconds at these sizes — the very pathology the
-//! memtable removes — and 48 samples are plenty for a contrast p99.
-//!
-//! Env overrides: `NNCELL_MIXED_NS`, `NNCELL_MIXED_OPS` (memtable storm
-//! size), `NNCELL_MIXED_SYNC_OPS`, `NNCELL_DIM`, `NNCELL_BENCH_OUT`.
+//! Env overrides: `NNCELL_MIXED_NS`, `NNCELL_MIXED_OPS` (storm size),
+//! `NNCELL_DIM`, `NNCELL_BENCH_OUT`.
 
 use nncell_bench::{env_dims, env_usize, timed};
 use nncell_core::{BuildConfig, FoldConfig, Query, ShardedIndex, Strategy};
@@ -84,7 +74,6 @@ fn storm(idx: &ShardedIndex, fresh: &[Point], probes: &[Vec<f64>]) -> (f64, f64)
 fn main() {
     let sizes = env_dims("NNCELL_MIXED_NS", &[2_000, 8_000, 32_000]);
     let ops = env_usize("NNCELL_MIXED_OPS", 400);
-    let sync_ops = env_usize("NNCELL_MIXED_SYNC_OPS", 48).max(8);
     let d = env_usize("NNCELL_DIM", 4);
     let out = std::env::var("NNCELL_BENCH_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_mixed.json").to_string()
@@ -105,28 +94,25 @@ fn main() {
     let mut memtable_p99s: Vec<(usize, f64)> = Vec::new();
     for &n in &sizes {
         let seed_pts = UniformGenerator::new(d).generate(n, 7);
-        // Fresh points for the two storms, disjoint from the seed set
+        // Fresh points for the storm, disjoint from the seed set
         // (coordinates are continuous uniform; duplicate rejection is a
         // non-issue at these scales).
-        let fresh = UniformGenerator::new(d).generate(sync_ops + ops, 8 + n as u64);
+        let fresh = UniformGenerator::new(d).generate(ops, 8 + n as u64);
         let cfg = BuildConfig::builder().strategy(Strategy::Sphere)
             .seed(7)
             .threads(threads).build();
         let (idx, build_s) = timed(|| {
-            ShardedIndex::build(seed_pts, SHARDS, cfg).expect("seed build")
+            ShardedIndex::build(seed_pts, SHARDS, cfg)
+                .expect("seed build")
+                .with_fold_config(FoldConfig {
+                    tail_max: 4 * ops.max(1),
+                    ..FoldConfig::default()
+                })
         });
         println!("n={n}: built in {build_s:.1}s");
 
-        // Sync pass: every write constructs its cell and publishes a
-        // fresh snapshot before the ack.
-        let (sync_ack_p99, sync_read_p99) = storm(&idx, &fresh[..sync_ops], &probes);
-
-        // Memtable pass on the same index: acks append to the tail.
-        let idx = idx.with_memtable(FoldConfig {
-            tail_max: 4 * ops.max(1),
-            ..FoldConfig::default()
-        });
-        let (mem_ack_p99, tail_read_p99) = storm(&idx, &fresh[sync_ops..], &probes);
+        // No folder runs during the storm: acks append to the tail.
+        let (mem_ack_p99, tail_read_p99) = storm(&idx, &fresh, &probes);
         let tail_depth = idx.tail_depth();
         assert!(tail_depth > 0, "storm must leave unfolded tail ops");
 
@@ -165,15 +151,14 @@ fn main() {
         );
 
         println!(
-            "n={n}: ack p99 sync {sync_ack_p99:.1} µs vs memtable {mem_ack_p99:.1} µs — \
-             read p99 sync {sync_read_p99:.1} µs, tail-merged {tail_read_p99:.1} µs, \
-             folded {folded_read_p99:.1} µs — fold {folded} recs @ {fold_recs:.2}/s"
+            "n={n}: ack p99 {mem_ack_p99:.1} µs — read p99 tail-merged \
+             {tail_read_p99:.1} µs, folded {folded_read_p99:.1} µs — \
+             fold {folded} recs @ {fold_recs:.2}/s"
         );
         memtable_p99s.push((n, mem_ack_p99));
         rows.push(format!(
-            "    {{\n      \"n\": {n},\n      \"sync_insert_p99_us\": {sync_ack_p99:.2},\n      \
+            "    {{\n      \"n\": {n},\n      \
              \"memtable_insert_p99_us\": {mem_ack_p99:.2},\n      \
-             \"sync_read_p99_us\": {sync_read_p99:.2},\n      \
              \"tail_read_p99_us\": {tail_read_p99:.2},\n      \
              \"folded_read_p99_us\": {folded_read_p99:.2},\n      \
              \"tail_depth_at_flush\": {tail_depth},\n      \
@@ -199,7 +184,6 @@ fn main() {
 
     let json = format!(
         "{{\n  \"dim\": {d},\n  \"shards\": {SHARDS},\n  \"ops_per_storm\": {ops},\n  \
-         \"sync_ops_per_storm\": {sync_ops},\n  \
          \"sizes\": [\n{}\n  ],\n  \"memtable_ack_p99_flat\": true\n}}\n",
         rows.join(",\n")
     );

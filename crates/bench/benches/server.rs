@@ -49,7 +49,7 @@ fn start(
         deadline: Duration::from_secs(30),
         ..ServerConfig::default()
     };
-    let server = Server::bind(config, ServeIndex::Sharded(index), Registry::new())
+    let server = Server::bind(config, ServeIndex::Sharded(Box::new(index)), Registry::new())
         .expect("bind bench server");
     let addr = server.local_addr().to_string();
     let handle = server.handle();

@@ -22,6 +22,8 @@
 //! `--wal DIR` commands operate on a crash-consistent directory: every
 //! insert/remove is journaled and fsynced before it is acknowledged, and
 //! `recover` replays the journal after a crash (see DESIGN.md §Durability).
+//! Every durable directory opens as a [`ShardedIndex`] — one shard unless
+//! `--shards` says otherwise — so all writes take its one write path.
 
 mod args;
 mod csv;
@@ -29,8 +31,8 @@ mod csv;
 use args::Parsed;
 use nncell_core::wal::WalTail;
 use nncell_core::{
-    BuildConfig, ConstraintPool, DurableIndex, FoldConfig, InputPolicy, NnCellIndex, Query,
-    Registry, ShardedIndex, Strategy,
+    BuildConfig, ConstraintPool, FoldConfig, InputPolicy, NnCellIndex, Query, Registry,
+    ShardedIndex, Strategy,
 };
 use nncell_geom::Point;
 use nncell_data::{
@@ -148,12 +150,14 @@ fn cmd_build(p: &Parsed) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     let points = csv::read_points(p.require("points").map_err(|e| e.to_string())?)
         .map_err(|e| e.to_string())?;
-    let strategy = parse_strategy(p.get("strategy").unwrap_or("correct-pruned"))?;
     let dim = points.first().map_or(2, Point::dim);
+    // Unset flags keep the library's defaults (`BuildConfig::default`).
     let mut b = BuildConfig::builder()
-        .strategy(strategy)
         .seed(p.get_or("seed", 0).map_err(|e| e.to_string())?)
         .threads(p.get_or("threads", 1).map_err(|e| e.to_string())?);
+    if let Some(strategy) = p.get("strategy") {
+        b = b.strategy(parse_strategy(strategy)?);
+    }
     if let Some(pool) = p.get("pool") {
         b = b.constraint_pool(parse_pool(pool, dim)?);
     }
@@ -180,24 +184,34 @@ fn cmd_build(p: &Parsed) -> Result<(), String> {
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    if shards > 1 {
-        return cmd_build_sharded(points, shards, cfg, out, wal);
-    }
+    // Partition round-robin and build every shard in its own thread. The
+    // plain save happens before the durable conversion consumes the index.
     let t = Instant::now();
-    let index = NnCellIndex::build(points, cfg).map_err(|e| e.to_string())?;
-    let bs = index.build_stats().clone();
-    let (n_cells, n_pieces) = (index.len(), index.total_pieces());
+    let index = ShardedIndex::build(points, shards, cfg).map_err(|e| e.to_string())?;
+    let bs = index.build_stats();
+    let n_cells = index.len();
+    let n_pieces: usize = (0..shards).map(|i| index.shard(i).total_pieces()).sum();
     let mut sinks = Vec::new();
     if let Some(out) = out {
-        index.save(out).map_err(|e| e.to_string())?;
-        sinks.push(format!("saved to {out}"));
+        if shards == 1 {
+            index.shard(0).save(out).map_err(|e| e.to_string())?;
+            sinks.push(format!("saved to {out}"));
+        } else {
+            index.save(out).map_err(|e| e.to_string())?;
+            sinks.push(format!("saved sharded directory to {out}"));
+        }
     }
     if let Some(dir) = wal {
-        DurableIndex::create(dir, index).map_err(|e| e.to_string())?;
+        index.into_durable(dir).map_err(|e| e.to_string())?;
         sinks.push(format!("durable directory initialized at {dir}"));
     }
     println!(
-        "built {n_cells} cells ({n_pieces} pieces) in {:.2}s — {} LPs over {} constraints — {}",
+        "built {n_cells} cells ({n_pieces} pieces){} in {:.2}s — {} LPs over {} constraints — {}",
+        if shards > 1 {
+            format!(" across {shards} shard(s)")
+        } else {
+            String::new()
+        },
         t.elapsed().as_secs_f64(),
         bs.lp.lp_calls,
         bs.lp.constraints,
@@ -220,61 +234,18 @@ fn cmd_build(p: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// `build --shards N`: partition round-robin, build every shard in its own
-/// thread, and land in a sharded directory (plain via `--out`, durable via
-/// `--wal` — both work; the save happens before the durable conversion
-/// consumes the in-memory masters).
-fn cmd_build_sharded(
-    points: Vec<nncell_geom::Point>,
-    shards: usize,
-    cfg: BuildConfig,
-    out: Option<&str>,
-    wal: Option<&str>,
-) -> Result<(), String> {
-    let t = Instant::now();
-    let index = ShardedIndex::build(points, shards, cfg).map_err(|e| e.to_string())?;
-    let bs = index.build_stats();
-    let n_cells = index.len();
-    let n_pieces: usize = (0..shards).map(|i| index.shard(i).total_pieces()).sum();
-    let mut sinks = Vec::new();
-    if let Some(dir) = out {
-        index.save(dir).map_err(|e| e.to_string())?;
-        sinks.push(format!("saved sharded directory to {dir}"));
-    }
-    if let Some(dir) = wal {
-        index.into_durable(dir).map_err(|e| e.to_string())?;
-        sinks.push(format!("durable sharded directory initialized at {dir}"));
-    }
-    println!(
-        "built {n_cells} cells ({n_pieces} pieces) across {shards} shard(s) in {:.2}s — \
-         {} LPs over {} constraints — {}",
-        t.elapsed().as_secs_f64(),
-        bs.lp.lp_calls,
-        bs.lp.constraints,
-        sinks.join(", ")
-    );
-    if bs.skipped_points > 0 {
-        println!(
-            "skipped {} invalid input point(s) (--skip-invalid)",
-            bs.skipped_points
-        );
-    }
-    print_build_profile(&bs.profile);
-    Ok(())
-}
-
-/// Opens a sharded layout when the path carries a sharded manifest (plain
-/// or durable), regardless of which flag it arrived under.
-fn open_sharded_at(path: &str, durable_hint: bool) -> Result<Option<ShardedIndex>, String> {
+/// Loads a plain `--index` path: a sharded directory when it carries a
+/// sharded manifest, otherwise `None` for a single snapshot file.
+fn load_sharded_at(path: &str) -> Result<Option<ShardedIndex>, String> {
     if ShardedIndex::manifest_shards(path).is_none() {
         return Ok(None);
     }
-    let idx = if durable_hint {
-        ShardedIndex::open_durable_existing(path).map_err(|e| e.to_string())?
-    } else {
-        ShardedIndex::load(path).map_err(|e| e.to_string())?
-    };
-    Ok(Some(idx))
+    ShardedIndex::load(path).map(Some).map_err(|e| e.to_string())
+}
+
+/// Opens a `--wal` durable directory, sharded or in the unsharded layout.
+fn open_wal(dir: &str) -> Result<ShardedIndex, String> {
+    ShardedIndex::open_durable_existing(dir).map_err(|e| e.to_string())
 }
 
 fn cmd_query(p: &Parsed) -> Result<(), String> {
@@ -293,12 +264,12 @@ fn cmd_query(p: &Parsed) -> Result<(), String> {
         }
         None => Query::knn(q, k),
     };
-    // All four surfaces (plain file, durable dir, and the sharded flavor
-    // of each — auto-detected from the on-disk manifest) route through the
-    // same engine semantics, so a malformed query produces the same typed
-    // QueryError everywhere.
+    // Every surface (plain file, plain sharded directory, durable
+    // directory — the sharded flavors auto-detected from the on-disk
+    // manifest) routes through the same engine semantics, so a malformed
+    // query produces the same typed QueryError everywhere.
     let resp = match (p.get("index"), p.get("wal")) {
-        (Some(file), None) => match open_sharded_at(file, false)? {
+        (Some(file), None) => match load_sharded_at(file)? {
             Some(sharded) => sharded.query(&query).map_err(|e| e.to_string())?,
             None => NnCellIndex::load(file)
                 .map_err(|e| e.to_string())?
@@ -306,15 +277,7 @@ fn cmd_query(p: &Parsed) -> Result<(), String> {
                 .execute(&query)
                 .map_err(|e| e.to_string())?,
         },
-        (None, Some(dir)) => match open_sharded_at(dir, true)? {
-            Some(sharded) => sharded.query(&query).map_err(|e| e.to_string())?,
-            None => DurableIndex::open(dir)
-                .map_err(|e| e.to_string())?
-                .index()
-                .engine()
-                .execute(&query)
-                .map_err(|e| e.to_string())?,
-        },
+        (None, Some(dir)) => open_wal(dir)?.query(&query).map_err(|e| e.to_string())?,
         _ => return Err("query needs exactly one of --index FILE or --wal DIR".into()),
     };
     if k == 1 && p.get("radius").is_none() {
@@ -347,24 +310,16 @@ fn cmd_insert(p: &Parsed) -> Result<(), String> {
     let dir = p.require("wal").map_err(|e| e.to_string())?;
     let coords = csv::parse_point(p.require("point").map_err(|e| e.to_string())?)
         .map_err(|e| e.to_string())?;
-    if let Some(sharded) = open_sharded_at(dir, true)? {
-        let id = sharded.insert(Point::new(coords)).map_err(|e| e.to_string())?;
-        println!(
-            "inserted point #{id} into shard {} — journaled and fsynced \
-             ({} record(s) across {} shard journal(s))",
-            id % sharded.num_shards(),
-            sharded.wal_records(),
-            sharded.num_shards()
-        );
-        return maybe_checkpoint_sharded(p, sharded);
-    }
-    let mut index = DurableIndex::open(dir).map_err(|e| e.to_string())?;
+    let index = open_wal(dir)?;
     let id = index.insert(Point::new(coords)).map_err(|e| e.to_string())?;
     println!(
-        "inserted point #{id} — journaled and fsynced ({} record(s) since last checkpoint)",
-        index.wal_records()
+        "inserted point #{id} into shard {} — journaled and fsynced \
+         ({} record(s) across {} shard journal(s))",
+        id % index.num_shards(),
+        index.wal_records(),
+        index.num_shards()
     );
-    maybe_checkpoint(p, index)
+    maybe_checkpoint(p, &index)
 }
 
 fn cmd_remove(p: &Parsed) -> Result<(), String> {
@@ -376,30 +331,19 @@ fn cmd_remove(p: &Parsed) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .parse()
         .map_err(|_| "bad --id (expected a point id)".to_string())?;
-    if let Some(sharded) = open_sharded_at(dir, true)? {
-        if sharded.remove(id).map_err(|e| e.to_string())? {
-            println!(
-                "removed point #{id} from shard {} — journaled and fsynced \
-                 ({} record(s) across {} shard journal(s))",
-                id % sharded.num_shards(),
-                sharded.wal_records(),
-                sharded.num_shards()
-            );
-        } else {
-            println!("point #{id} is not live; nothing journaled");
-        }
-        return maybe_checkpoint_sharded(p, sharded);
-    }
-    let mut index = DurableIndex::open(dir).map_err(|e| e.to_string())?;
+    let index = open_wal(dir)?;
     if index.remove(id).map_err(|e| e.to_string())? {
         println!(
-            "removed point #{id} — journaled and fsynced ({} record(s) since last checkpoint)",
-            index.wal_records()
+            "removed point #{id} from shard {} — journaled and fsynced \
+             ({} record(s) across {} shard journal(s))",
+            id % index.num_shards(),
+            index.wal_records(),
+            index.num_shards()
         );
     } else {
         println!("point #{id} is not live; nothing journaled");
     }
-    maybe_checkpoint(p, index)
+    maybe_checkpoint(p, &index)
 }
 
 fn print_recovery(rec: &nncell_core::RecoveryReport, generation: u64) {
@@ -425,67 +369,40 @@ fn print_recovery(rec: &nncell_core::RecoveryReport, generation: u64) {
 fn cmd_recover(p: &Parsed) -> Result<(), String> {
     p.allow_only(&["wal", "checkpoint"])
         .map_err(|e| e.to_string())?;
-    let dir = p.require("wal").map_err(|e| e.to_string())?;
-    if let Some(sharded) = open_sharded_at(dir, true)? {
-        for (i, rec) in sharded.recovery().iter().enumerate() {
-            println!("--- shard {i} ---");
-            print_recovery(rec, rec.generation + u64::from(rec.rotated));
-        }
-        println!("live points    : {} across {} shard(s)", sharded.len(), sharded.num_shards());
-        return maybe_checkpoint_sharded(p, sharded);
+    let index = open_wal(p.require("wal").map_err(|e| e.to_string())?)?;
+    for (i, rec) in index.recovery().iter().enumerate() {
+        println!("--- shard {i} ---");
+        print_recovery(rec, rec.generation + u64::from(rec.rotated));
     }
-    let index = DurableIndex::open(dir).map_err(|e| e.to_string())?;
-    let rec = index.recovery().clone();
-    print_recovery(&rec, index.generation());
-    println!("live points    : {}", index.len());
-    maybe_checkpoint(p, index)
+    println!("live points    : {} across {} shard(s)", index.len(), index.num_shards());
+    maybe_checkpoint(p, &index)
 }
 
 /// `flush --wal DIR`: land every journaled record in the snapshot and
 /// reset the journals. Opening the directory already replays the WAL
-/// into the in-memory masters (the offline equivalent of folding the
-/// memtable tail); `flush` makes that state the new on-disk baseline so
-/// the next open carries zero replay debt.
+/// into the cells (the offline equivalent of folding the memtable tail);
+/// `flush` makes that state the new on-disk baseline so the next open
+/// carries zero replay debt.
 fn cmd_flush(p: &Parsed) -> Result<(), String> {
     p.allow_only(&["wal"]).map_err(|e| e.to_string())?;
-    let dir = p.require("wal").map_err(|e| e.to_string())?;
-    if let Some(sharded) = open_sharded_at(dir, true)? {
-        let replayed: usize = sharded.recovery().iter().map(|r| r.replayed).sum();
-        sharded.checkpoint().map_err(|e| e.to_string())?;
-        println!(
-            "flushed {replayed} journaled record(s) into the snapshot across {} shard(s); \
-             journals reset",
-            sharded.num_shards()
-        );
-        return Ok(());
-    }
-    let mut index = DurableIndex::open(dir).map_err(|e| e.to_string())?;
-    let replayed = index.recovery().replayed;
+    let index = open_wal(p.require("wal").map_err(|e| e.to_string())?)?;
+    let replayed: usize = index.recovery().iter().map(|r| r.replayed).sum();
     index.checkpoint().map_err(|e| e.to_string())?;
     println!(
-        "flushed {replayed} journaled record(s) into the snapshot (generation {}); journal reset",
-        index.generation()
+        "flushed {replayed} journaled record(s) into the snapshot across {} shard(s); \
+         journals reset",
+        index.num_shards()
     );
     Ok(())
 }
 
-/// Shared `--checkpoint` tail for sharded durable directories.
-fn maybe_checkpoint_sharded(p: &Parsed, index: ShardedIndex) -> Result<(), String> {
+/// Shared `--checkpoint` tail of the durable subcommands. Writes acked by
+/// this process are still in the memtable tail; the checkpoint
+/// re-journals them into the fresh WALs.
+fn maybe_checkpoint(p: &Parsed, index: &ShardedIndex) -> Result<(), String> {
     if p.get("checkpoint").is_some() {
         index.checkpoint().map_err(|e| e.to_string())?;
         println!("checkpointed all {} shard(s) (journals reset)", index.num_shards());
-    }
-    Ok(())
-}
-
-/// Shared `--checkpoint` tail for the durable subcommands.
-fn maybe_checkpoint(p: &Parsed, mut index: DurableIndex) -> Result<(), String> {
-    if p.get("checkpoint").is_some() {
-        index.checkpoint().map_err(|e| e.to_string())?;
-        println!(
-            "checkpointed to generation {} (journal reset)",
-            index.generation()
-        );
     }
     Ok(())
 }
@@ -644,31 +561,25 @@ fn cmd_bench(p: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// Either surface the observability commands accept: a plain snapshot, a
-/// durable directory (whose WAL/rotation counters come along for free),
-/// or the sharded flavor of either — auto-detected from the manifest and
-/// reporting per-shard labeled series.
+/// Either surface the observability commands accept: a plain snapshot,
+/// or a sharded index — a plain sharded directory or any durable one
+/// (whose WAL/rotation counters come along for free), reporting
+/// per-shard labeled series.
 enum LoadedIndex {
     Plain(Box<NnCellIndex>),
-    Durable(Box<DurableIndex>),
     Sharded(Box<ShardedIndex>),
 }
 
 impl LoadedIndex {
     fn open(p: &Parsed, cmd: &str) -> Result<Self, String> {
         match (p.get("index"), p.get("wal")) {
-            (Some(file), None) => Ok(match open_sharded_at(file, false)? {
+            (Some(file), None) => Ok(match load_sharded_at(file)? {
                 Some(s) => LoadedIndex::Sharded(Box::new(s)),
                 None => LoadedIndex::Plain(Box::new(
                     NnCellIndex::load(file).map_err(|e| e.to_string())?,
                 )),
             }),
-            (None, Some(dir)) => Ok(match open_sharded_at(dir, true)? {
-                Some(s) => LoadedIndex::Sharded(Box::new(s)),
-                None => LoadedIndex::Durable(Box::new(
-                    DurableIndex::open(dir).map_err(|e| e.to_string())?,
-                )),
-            }),
+            (None, Some(dir)) => Ok(LoadedIndex::Sharded(Box::new(open_wal(dir)?))),
             _ => Err(format!(
                 "{cmd} needs exactly one of --index FILE or --wal DIR"
             )),
@@ -678,7 +589,6 @@ impl LoadedIndex {
     fn attach_metrics(&mut self, registry: std::sync::Arc<Registry>) {
         match self {
             LoadedIndex::Plain(i) => i.attach_metrics(registry),
-            LoadedIndex::Durable(d) => d.attach_metrics(registry),
             LoadedIndex::Sharded(s) => s.attach_metrics(registry),
         }
     }
@@ -686,15 +596,16 @@ impl LoadedIndex {
     fn dim(&self) -> usize {
         match self {
             LoadedIndex::Plain(i) => i.dim(),
-            LoadedIndex::Durable(d) => d.index().dim(),
             LoadedIndex::Sharded(s) => s.dim(),
         }
     }
 
-    fn num_shards(&self) -> usize {
+    /// Shard count, or `None` for a plain snapshot (whose series carry
+    /// no `shard` label).
+    fn shards(&self) -> Option<usize> {
         match self {
-            LoadedIndex::Sharded(s) => s.num_shards(),
-            _ => 1,
+            LoadedIndex::Plain(_) => None,
+            LoadedIndex::Sharded(s) => Some(s.num_shards()),
         }
     }
 
@@ -702,9 +613,6 @@ impl LoadedIndex {
         match self {
             LoadedIndex::Plain(i) => {
                 let _ = i.engine().with_threads(threads).batch(queries);
-            }
-            LoadedIndex::Durable(d) => {
-                let _ = d.index().engine().with_threads(threads).batch(queries);
             }
             // Sharding is the concurrency story here: the fan-out across
             // shard engines replaces the single engine's thread pool.
@@ -714,17 +622,11 @@ impl LoadedIndex {
         }
     }
 
-    /// Slow-query rings, one per shard (exactly one for unsharded).
+    /// Slow-query rings, one per shard (exactly one for a plain snapshot).
     fn slow_logs(&self) -> Vec<std::sync::Arc<nncell_core::SlowQueryLog>> {
         use std::sync::Arc;
         match self {
             LoadedIndex::Plain(i) => i
-                .metrics()
-                .map(|m| Arc::clone(m.engine().slow_log()))
-                .into_iter()
-                .collect(),
-            LoadedIndex::Durable(d) => d
-                .index()
                 .metrics()
                 .map(|m| Arc::clone(m.engine().slow_log()))
                 .into_iter()
@@ -741,7 +643,6 @@ impl LoadedIndex {
     fn build_profile(&self) -> nncell_core::BuildProfile {
         match self {
             LoadedIndex::Plain(i) => i.build_stats().profile,
-            LoadedIndex::Durable(d) => d.index().build_stats().profile,
             LoadedIndex::Sharded(s) => s.build_stats().profile,
         }
     }
@@ -750,41 +651,31 @@ impl LoadedIndex {
 /// Builds the [`nncell_server::ServeIndex`] for `serve` from the same
 /// `--index FILE`/`--wal DIR` surfaces the other commands accept, with
 /// the extra twist that a missing `--wal` directory is initialized
-/// fresh (requires `--dim`; `--shards` > 1 makes it sharded).
+/// fresh (requires `--dim`; `--shards` defaults to 1).
 ///
-/// Sharded indexes get the journaled memtable tail (O(1) write acks, a
-/// supervised background folder) unless `--tail-max 0` asks for the
-/// synchronous write path.
+/// A single snapshot file serves read-only; every other surface serves a
+/// sharded index whose writes go through the journaled memtable tail
+/// (O(1) acks, a supervised background folder).
 fn open_serve_index(p: &Parsed) -> Result<nncell_server::ServeIndex, String> {
     use nncell_server::ServeIndex;
     let tail_max: usize = p.get_or("tail-max", 4096).map_err(|e| e.to_string())?;
+    if tail_max == 0 {
+        return Err("--tail-max must be at least 1 (every write goes through the memtable tail)".into());
+    }
     let fold_interval_ms: u64 = p
         .get_or("fold-interval-ms", 20)
         .map_err(|e| e.to_string())?;
-    let memtable = |s: ShardedIndex| -> ServeIndex {
-        if tail_max == 0 {
-            return ServeIndex::Sharded(s);
-        }
-        ServeIndex::Sharded(s.with_memtable(FoldConfig {
-            tail_max,
-            poll_interval: std::time::Duration::from_millis(fold_interval_ms.max(1)),
-            ..FoldConfig::default()
-        }))
-    };
-    match (p.get("index"), p.get("wal")) {
-        (Some(file), None) => Ok(match open_sharded_at(file, false)? {
-            Some(s) => memtable(s),
-            None => ServeIndex::Plain(NnCellIndex::load(file).map_err(|e| e.to_string())?),
-        }),
+    let sharded = match (p.get("index"), p.get("wal")) {
+        (Some(file), None) => match load_sharded_at(file)? {
+            Some(s) => s,
+            None => {
+                return Ok(ServeIndex::Plain(Box::new(
+                    NnCellIndex::load(file).map_err(|e| e.to_string())?,
+                )))
+            }
+        },
+        (None, Some(dir)) if std::path::Path::new(dir).join("CURRENT").exists() => open_wal(dir)?,
         (None, Some(dir)) => {
-            if let Some(s) = open_sharded_at(dir, true)? {
-                return Ok(memtable(s));
-            }
-            if std::path::Path::new(dir).join("CURRENT").exists() {
-                return Ok(ServeIndex::Durable(std::sync::Mutex::new(
-                    DurableIndex::open(dir).map_err(|e| e.to_string())?,
-                )));
-            }
             // Fresh directory: initialize an empty durable index.
             let dim: usize = p
                 .get("dim")
@@ -792,20 +683,21 @@ fn open_serve_index(p: &Parsed) -> Result<nncell_server::ServeIndex, String> {
                 .parse()
                 .map_err(|_| "bad --dim".to_string())?;
             let shards: usize = p.get_or("shards", 1).map_err(|e| e.to_string())?;
-            let cfg = BuildConfig::builder().strategy(Strategy::CorrectPruned).build();
-            if shards > 1 {
-                Ok(memtable(
-                    ShardedIndex::open_durable(dir, dim, shards, cfg)
-                        .map_err(|e| e.to_string())?,
-                ))
-            } else {
-                Ok(ServeIndex::Durable(std::sync::Mutex::new(
-                    NnCellIndex::open_durable(dir, dim, cfg).map_err(|e| e.to_string())?,
-                )))
+            if shards == 0 {
+                return Err("--shards must be at least 1".into());
             }
+            ShardedIndex::open_durable(dir, dim, shards, BuildConfig::default())
+                .map_err(|e| e.to_string())?
         }
-        _ => Err("serve needs exactly one of --index FILE or --wal DIR".into()),
-    }
+        _ => return Err("serve needs exactly one of --index FILE or --wal DIR".into()),
+    };
+    Ok(ServeIndex::Sharded(Box::new(sharded.with_fold_config(
+        FoldConfig {
+            tail_max,
+            poll_interval: std::time::Duration::from_millis(fold_interval_ms.max(1)),
+            ..FoldConfig::default()
+        },
+    ))))
 }
 
 fn cmd_serve(p: &Parsed) -> Result<(), String> {
@@ -849,10 +741,6 @@ fn cmd_serve(p: &Parsed) -> Result<(), String> {
     let mut index = index;
     match &mut index {
         nncell_server::ServeIndex::Sharded(s) => s.attach_metrics(registry.clone()),
-        nncell_server::ServeIndex::Durable(m) => match m.lock() {
-            Ok(mut d) => d.attach_metrics(registry.clone()),
-            Err(p) => p.into_inner().attach_metrics(registry.clone()),
-        },
         nncell_server::ServeIndex::Plain(i) => i.attach_metrics(registry.clone()),
     }
     let server = nncell_server::Server::bind(config, index, registry)
@@ -865,17 +753,12 @@ fn cmd_serve(p: &Parsed) -> Result<(), String> {
         "serving: POST /query /batch /insert /remove — GET /metrics /healthz /readyz /debug/trace"
     );
     match server.index() {
-        nncell_server::ServeIndex::Sharded(s) if s.memtable_enabled() => {
-            let max = s.fold_config().map_or(0, |c| c.tail_max);
-            println!(
-                "write path: journaled memtable tail (O(1) acks, background folder, \
-                 backpressure past {max} unfolded ops)"
-            );
-        }
-        nncell_server::ServeIndex::Sharded(_) => {
-            println!("write path: synchronous snapshot publish (--tail-max 0)");
-        }
-        _ => {}
+        nncell_server::ServeIndex::Sharded(s) => println!(
+            "write path: journaled memtable tail (O(1) acks, background folder, \
+             backpressure past {} unfolded ops)",
+            s.fold_config().tail_max
+        ),
+        nncell_server::ServeIndex::Plain(_) => println!("write path: none (read-only snapshot)"),
     }
     println!("shutdown: SIGTERM/ctrl-c drains in-flight requests, then checkpoints");
     use std::io::Write as _;
@@ -934,8 +817,8 @@ fn cmd_stats_server(addr: &str) -> Result<(), String> {
     // Always print the write-path lines: degraded-mode and tail depth
     // must be visible even on a quiet server (empty slow-query ring, no
     // traffic since start). The memtable family only exists when the
-    // server runs a journaled tail — say so explicitly instead of
-    // silently omitting the folder's health.
+    // server takes writes — say so explicitly instead of silently
+    // omitting the folder's health.
     if text.contains("nncell_tail_depth") {
         println!(
             "write path     : {} unfolded tail op(s), {} fold(s) ({} record(s)), \
@@ -955,7 +838,7 @@ fn cmd_stats_server(addr: &str) -> Result<(), String> {
             value("nncell_fold_failures_total"),
         );
     } else {
-        println!("write path     : synchronous (no memtable tail)");
+        println!("write path     : none (read-only snapshot, no memtable tail)");
     }
     if text.contains("nncell_trace_spans_total") {
         println!(
@@ -1095,13 +978,13 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
     // Human-readable summary. Sharded indexes register per-shard labeled
     // series (`name{shard="i"}`); sum_counters/sum_gauges fold a whole
     // family into one number either way.
-    let shards = loaded.num_shards();
+    let shards = loaded.shards();
+    let many = shards.is_some_and(|s| s > 1);
     println!(
         "workload       : {n_q} queries (k={k}, threads={threads}, seed={seed}){}",
-        if shards > 1 {
-            format!(" fanned out across {shards} shards")
-        } else {
-            String::new()
+        match shards {
+            Some(s) if many => format!(" fanned out across {s} shards"),
+            _ => String::new(),
         }
     );
     let get = |name: &str| snap.sum_counters(name).unwrap_or(0);
@@ -1111,23 +994,15 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
         get("nncell_query_errors_total"),
         get("nncell_query_fallback_total"),
     );
-    // Latency histograms stay per shard: there is one series per engine,
-    // labeled when sharded.
-    let latency_series: Vec<(String, &str)> = if shards > 1 {
-        (0..shards)
-            .map(|i| {
-                (
-                    format!("nncell_query_latency_ns{{shard=\"{i}\"}}"),
-                    "latency",
-                )
-            })
-            .collect()
-    } else {
-        vec![("nncell_query_latency_ns".to_string(), "latency")]
+    // One series per engine: `name{shard="i"}` for a sharded index.
+    let series = |name: &str, i: usize| match shards {
+        Some(_) => format!("{name}{{shard=\"{i}\"}}"),
+        None => name.to_string(),
     };
-    for (i, (name, _)) in latency_series.iter().enumerate() {
-        if let Some(h) = snap.histogram(name) {
-            let label = if shards > 1 {
+    // Latency histograms stay per shard.
+    for i in 0..shards.unwrap_or(1) {
+        if let Some(h) = snap.histogram(&series("nncell_query_latency_ns", i)) {
+            let label = if many {
                 format!("latency (s{i})  ")
             } else {
                 "latency        ".to_string()
@@ -1141,29 +1016,21 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
             );
         }
     }
-    let hist = |name: &str| {
-        if shards > 1 {
-            snap.histogram(&format!("{name}{{shard=\"0\"}}"))
-        } else {
-            snap.histogram(name)
-        }
-    };
-    if let Some(h) = hist("nncell_query_candidates") {
+    let shard0 = if many { " (shard 0)" } else { "" };
+    if let Some(h) = snap.histogram(&series("nncell_query_candidates", 0)) {
         println!(
-            "candidates     : mean {:.1}, p99 ≤ {}, max {}{}",
+            "candidates     : mean {:.1}, p99 ≤ {}, max {}{shard0}",
             h.mean(),
             h.percentile(0.99),
             h.max,
-            if shards > 1 { " (shard 0)" } else { "" }
         );
     }
-    if let Some(h) = hist("nncell_query_pages") {
+    if let Some(h) = snap.histogram(&series("nncell_query_pages", 0)) {
         println!(
-            "pages/query    : mean {:.1}, p99 ≤ {}, max {}{}",
+            "pages/query    : mean {:.1}, p99 ≤ {}, max {}{shard0}",
             h.mean(),
             h.percentile(0.99),
             h.max,
-            if shards > 1 { " (shard 0)" } else { "" }
         );
     }
     println!(
@@ -1230,7 +1097,7 @@ COMMANDS
   generate  --out FILE [--kind uniform|grid|sparse|clustered|fourier]
             [--n 1000] [--dim 8] [--seed 42] [--clusters 8] [--sigma 0.05]
   build     --points FILE (--out FILE | --wal DIR) [--strategy correct|
-            correct-pruned|point|sphere|nn-direction] [--decompose K] [--seed S]
+            correct-pruned|point|sphere|nn-direction (default)] [--decompose K] [--seed S]
             [--pool exhaustive|approx|approx:K] [--threads T] [--shards S]
             [--skip-invalid] [--lp-max-iterations N]
   query     (--index FILE | --wal DIR) --point x,y,... [--k K | --radius R]
@@ -1247,8 +1114,8 @@ COMMANDS
   stats     --server HOST:PORT     (shed-pressure view of a running server)
   serve     (--index FILE | --wal DIR) [--addr 127.0.0.1:8321] [--threads 4]
             [--queue-depth 64] [--deadline-ms 2000] [--retry-after 1]
-            [--slow-ms 100] [--tail-max 4096] [--fold-interval-ms 20]
-            [--trace-sample N] [--dim N --shards S  (fresh --wal init)]
+            [--slow-ms 100] [--tail-max 4096 (>= 1)] [--fold-interval-ms 20]
+            [--trace-sample N] [--dim N [--shards 1]  (fresh --wal init)]
   trace     --server HOST:PORT [--last 16] [--out FILE]
             (fetch recent request traces as Chrome trace-event JSON)
   help
@@ -1260,10 +1127,14 @@ exhaustive per-cell gather; answers are identical either way. `query
 --radius R` returns every point within distance R, sorted by distance.
 
 `build --shards S` (S > 1) partitions points round-robin into S shards,
-builds them in parallel, and writes a sharded directory (plain with --out,
-durable with --wal). query/insert/remove/recover/stats auto-detect sharded
-layouts from the on-disk manifest; sharded answers are bit-identical to
-unsharded ones, and sharded metrics register per-shard `shard=\"i\"` series.
+builds them in parallel, and writes a sharded directory with --out (a
+single snapshot file when S = 1). `build --wal DIR` writes a durable
+directory of S shards (default 1): DIR/CURRENT reads `sharded S` and each
+shard journals in DIR/shard-<i>/. Durable directories of the older
+unsharded layout (CURRENT holding a bare generation number) still open,
+as one shard. query/stats auto-detect a sharded --index directory from
+its manifest; sharded answers are bit-identical to unsharded ones, and
+sharded metrics register per-shard `shard=\"i\"` series.
 
 `stats` attaches a metrics registry, replays a generated workload, and
 reports query-latency percentiles, candidate/page histograms, tree and LP
@@ -1283,14 +1154,15 @@ recent traces as Chrome trace-event JSON — pipe to a file (--out) and
 load it in Perfetto (ui.perfetto.dev) or chrome://tracing. Slow-query
 entries carry the trace id of their request as an exemplar.
 
-Sharded serving uses the LSM-style write path: inserts/removes are
-journaled and land in a small unindexed memtable tail (fsync, then an
-O(1) ack — no cell construction on the write path); a supervised
-background folder folds the tail into the NN-cells. Queries merge the
-tail by linear scan and stay exact throughout, even while the folder is
-failing (visible as `nncell_fold_*` metrics and in /readyz). A tail past
---tail-max unfolded ops sheds writes with 429 + Retry-After;
---tail-max 0 restores the synchronous write path. `flush` folds a
+Every write — HTTP /insert and /remove, CLI insert and remove — takes
+one LSM-style path: it is journaled (durable directories) and lands in a
+small unindexed memtable tail (fsync, then an O(1) ack — no cell
+construction on the write path); a supervised background folder folds
+the tail into the NN-cells. Queries merge the tail by linear scan and
+stay exact throughout, even while the folder is failing (visible as
+`nncell_fold_*` metrics and in /readyz). A tail past --tail-max unfolded
+ops sheds writes with 429 + Retry-After; --tail-max must be at least 1.
+A single snapshot file (--index FILE) serves read-only. `flush` folds a
 directory's journal into the snapshot offline."
     );
 }

@@ -106,7 +106,9 @@ fn durable_build_insert_remove_crash_recover_pipeline() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("not live"));
 
     // Simulate a crash mid-append: tear the journal tail with garbage.
-    let wal_file = std::fs::read_dir(&db)
+    // `build --wal` writes a one-shard directory; shard 0 journals in
+    // its own subdirectory.
+    let wal_file = std::fs::read_dir(db.join("shard-0"))
         .unwrap()
         .filter_map(|e| e.ok())
         .find(|e| e.file_name().to_string_lossy().starts_with("wal."))

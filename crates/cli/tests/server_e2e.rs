@@ -15,7 +15,8 @@
 //!    the drain banner, and leaves *zero replay debt* — reopening
 //!    replays no WAL records because the drain ended in a checkpoint.
 
-use nncell_core::{BuildConfig, Query, ShardedIndex, Strategy};
+use nncell_core::{BuildConfig, NnCellIndex, Query, ShardedIndex, StdVfs, WalRecord, WalWriter};
+use nncell_geom::Point;
 use nncell_server::Client;
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -37,7 +38,7 @@ fn tmp(name: &str) -> PathBuf {
 
 fn cfg() -> BuildConfig {
     // Must match what `serve` uses for a fresh `--wal` directory.
-    BuildConfig::builder().strategy(Strategy::CorrectPruned).build()
+    BuildConfig::default()
 }
 
 /// A running `nncell serve` subprocess: the parsed listen address plus
@@ -550,4 +551,93 @@ fn traceparent_round_trips_and_debug_trace_exports_the_tree() {
     }
 
     let _ = std::fs::remove_dir_all(&wal);
+}
+
+/// Writes a durable directory in the unsharded layout of earlier
+/// releases — `CURRENT` holding the bare generation number `0`, the
+/// generation files beside it — with three journaled writes that were
+/// never checkpointed. Returns the logical state those writes leave.
+fn write_unsharded_layout(dir: &std::path::Path) -> Vec<Option<Vec<f64>>> {
+    std::fs::create_dir_all(dir).unwrap();
+    let pts: Vec<Point> = (0..30).map(|i| Point::new(point_for(i))).collect();
+    NnCellIndex::build(pts, cfg())
+        .unwrap()
+        .save(dir.join("snapshot.0.nncell"))
+        .unwrap();
+    let mut wal = WalWriter::create(&StdVfs, &dir.join("wal.0.log")).unwrap();
+    wal.append(&WalRecord::Insert(Point::new(point_for(100)))).unwrap();
+    wal.append(&WalRecord::Remove(3)).unwrap();
+    wal.append(&WalRecord::Insert(Point::new(point_for(101)))).unwrap();
+    std::fs::write(dir.join("CURRENT"), "0\n").unwrap();
+    let mut state: Vec<Option<Vec<f64>>> = (0..30).map(|i| Some(point_for(i))).collect();
+    state.push(Some(point_for(100)));
+    state[3] = None;
+    state.push(Some(point_for(101)));
+    state
+}
+
+/// A directory in the unsharded layout opens as one shard: `nncell
+/// insert --wal` journals into it, `nncell serve --wal` answers from it
+/// and takes HTTP writes, and after a SIGKILL every acked write —
+/// journaled by either era — recovers bit-identically.
+#[test]
+fn unsharded_layout_serves_and_takes_writes() {
+    let dir = tmp("unsharded");
+    let mut state = write_unsharded_layout(&dir);
+
+    let out = Command::new(env!("CARGO_BIN_EXE_nncell"))
+        .args(["insert", "--wal", dir.to_str().unwrap(), "--point", "0.123,0.456"])
+        .output()
+        .expect("spawn insert");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("inserted point #32"));
+    state.push(Some(vec![0.123, 0.456]));
+
+    let srv = ServerProc::spawn(&["--wal", dir.to_str().unwrap(), "--addr", "127.0.0.1:0"]);
+    let c = srv.client();
+    for (id, coords) in [(31, point_for(101)), (32, vec![0.123, 0.456])] {
+        let r = c.post("/query", &insert_body(&coords)).unwrap();
+        assert_eq!(r.status, 200, "{}", r.text());
+        assert!(r.text().contains(&format!("\"id\":{id}")), "{}", r.text());
+    }
+    let r = c.post("/insert", &insert_body(&point_for(102))).unwrap();
+    assert_eq!(r.status, 200, "{}", r.text());
+    assert_eq!(acked_id(&r.text()), 33);
+    state.push(Some(point_for(102)));
+    drop(srv); // SIGKILL
+
+    let recovered = ShardedIndex::open_durable_existing(&dir).expect("recover");
+    assert_eq!(recovered.num_shards(), 1);
+    let shard = recovered.shard(0);
+    assert_eq!(shard.points().len(), state.len());
+    for (id, want) in state.iter().enumerate() {
+        match want {
+            Some(coords) => {
+                assert!(shard.is_live(id), "acked insert {id} lost");
+                assert_eq!(shard.points()[id].as_slice(), &coords[..], "bits of {id}");
+            }
+            None => assert!(!shard.is_live(id), "removed point {id} resurrected"),
+        }
+    }
+    assert!(dir.join("CURRENT").exists() && !dir.join("shard-0").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every write goes through the memtable tail, so a tail that can hold
+/// nothing is a configuration error, not a mode switch.
+#[test]
+fn serve_rejects_a_zero_tail_max() {
+    let wal = tmp("tail_max_zero");
+    let out = Command::new(env!("CARGO_BIN_EXE_nncell"))
+        .args(["serve", "--wal", wal.to_str().unwrap(), "--dim", "2"])
+        .args(["--addr", "127.0.0.1:0", "--tail-max", "0"])
+        .output()
+        .expect("spawn serve");
+    assert!(!out.status.success(), "serve --tail-max 0 must fail");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--tail-max must be at least 1"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!wal.exists(), "a rejected serve must not initialize the directory");
 }

@@ -47,7 +47,7 @@ pub mod vfs;
 pub mod wal;
 
 pub use config::{BuildConfig, BuildConfigBuilder, ConstraintPool, InputPolicy, Strategy};
-pub use durable::{DurableError, DurableIndex, RecoveryReport};
+pub use durable::{DurableError, RecoveryReport};
 pub use engine::{QueryEngine, QueryScratch};
 pub use error::Error;
 pub use index::{

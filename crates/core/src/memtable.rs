@@ -1,9 +1,9 @@
 //! The unindexed memtable tail of the LSM-style write path.
 //!
-//! With a memtable enabled ([`crate::ShardedIndex::with_memtable`]), an
-//! insert or remove journals to the shard's WAL, lands in a small
-//! in-memory tail of raw operations, and is acknowledged — no LP solve,
-//! no cell refinement, no snapshot clone on the ack path. A supervised
+//! Every [`crate::ShardedIndex`] insert or remove journals to the shard's
+//! WAL (when durable), lands in a small in-memory tail of raw operations,
+//! and is acknowledged — no LP solve, no cell refinement, no snapshot
+//! clone on the ack path. A supervised
 //! background *folder* ([`crate::ShardedIndex::run_folder`]) later applies
 //! the tail to the NN-cell index off the write path and publishes the
 //! result through the copy-on-write [`crate::SnapshotCell`] swap.
@@ -192,7 +192,7 @@ impl TailSnapshot {
 }
 
 /// Tuning and fault knobs for the memtable tier, passed to
-/// [`crate::ShardedIndex::with_memtable`].
+/// [`crate::ShardedIndex::with_fold_config`].
 #[derive(Clone, Debug)]
 pub struct FoldConfig {
     /// High-watermark on unfolded operations across all shards; writes

@@ -160,8 +160,8 @@ pub struct QueryStats {
     /// search). All fallback paths are counted here — and nowhere else.
     pub fallback: bool,
     /// Unindexed memtable-tail points merged into this answer by linear
-    /// scan (0 whenever the write path is synchronous or the tail was
-    /// empty). Tail points are also counted in `candidates`; this field
+    /// scan (0 when the tail was empty or no tail was attached). Tail
+    /// points are also counted in `candidates`; this field
     /// isolates how much of the work the un-folded tail caused.
     pub tail: usize,
     /// Subtrees the MINDIST-ordered traversal pruned **before their node
@@ -221,7 +221,7 @@ impl QueryResponse {
 /// Why a query could not be answered.
 ///
 /// The same variants are returned by every surface — [`crate::QueryEngine`],
-/// the deprecated index shims (mapped to `None`/`[]`), [`crate::DurableIndex`],
+/// the deprecated index shims (mapped to `None`/`[]`), [`crate::ShardedIndex`],
 /// and the CLI — so malformed input behaves identically everywhere.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]

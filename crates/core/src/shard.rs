@@ -15,36 +15,46 @@
 //! global id, so per-shard `(dist, local id)` ordering merges into the
 //! global `(dist, global id)` ordering without re-sorting.
 //!
-//! # Concurrency: copy-on-write snapshots, single-writer log
+//! # Concurrency: one published snapshot per shard, one write path
 //!
-//! Each shard is wrapped in a [`SnapshotCell`]: readers
-//! ([`ShardedIndex::query`] / [`ShardedIndex::batch`], `&self`) load the
-//! current immutable snapshot `Arc` and run entirely on it. Writers
-//! ([`ShardedIndex::insert`] / [`ShardedIndex::remove`], also `&self`)
-//! serialize on one writer mutex, apply the mutation to the shard's
-//! authoritative *master* index (journaling through the shard's WAL
-//! first in durable mode), then **publish** a fresh clone. Readers never
-//! block on a write and never observe a half-applied mutation; a query
+//! Each shard's NN-cell index exists once in memory, as the immutable
+//! `Arc` published in its [`SnapshotCell`]. Readers
+//! ([`ShardedIndex::query`] / [`ShardedIndex::batch`], `&self`) load it and
+//! run entirely on it, merging the shard's unfolded memtable tail by
+//! linear scan. Every write ([`ShardedIndex::insert`] /
+//! [`ShardedIndex::remove`], also `&self`) takes the same path: serialize
+//! on one writer mutex, validate against snapshot + tail, journal through
+//! the shard's WAL when durable, push onto the tail, acknowledge — O(1),
+//! no cell construction, no copy. A supervised folder
+//! ([`ShardedIndex::run_folder`], or [`ShardedIndex::fold_once`] /
+//! [`ShardedIndex::flush`]) clones the published snapshot, applies the
+//! tail batch to the clone off-lock, and **publishes** it; that working
+//! copy is the only clone the write path ever makes. Readers never block
+//! on a write and never observe a half-applied mutation; a query
 //! overlapping a publish simply answers from the version it loaded.
 //!
 //! # Durable layout
 //!
 //! ```text
 //! dir/CURRENT        "sharded <S>"      (atomically written manifest)
-//! dir/shard-0/       a full PR-2 durable directory (CURRENT, snapshot.G, wal.G)
+//! dir/shard-0/       one journal directory (CURRENT, snapshot.G, wal.G)
 //! dir/shard-1/       …
 //! ```
 //!
-//! The top-level `CURRENT` only records the shard count (written once at
-//! initialization via the same `write_atomic` tmp+fsync+rename path);
-//! each shard directory keeps its own generation machinery, so crash
-//! recovery is per-shard WAL replay. Round-robin assignment makes the
-//! global id watermark recoverable: acknowledged inserts are a prefix of
-//! the global id sequence, so `next_global` is the sum of per-shard slot
-//! counts.
+//! The top-level `CURRENT` only records the shard count; it is written
+//! last at initialization (shard directories first, then the manifest via
+//! the same `write_atomic` tmp+fsync+rename path), so it is the commit
+//! point of the whole directory. Each shard directory keeps its own
+//! generation machinery ([`crate::durable`]), so crash recovery is
+//! per-shard WAL replay. A directory whose `CURRENT` holds a bare
+//! generation number — the unsharded layout of earlier releases — opens
+//! as one shard rooted at the directory itself. Round-robin assignment
+//! makes the global id watermark recoverable: acknowledged inserts are a
+//! prefix of the global id sequence, so `next_global` is the sum of
+//! per-shard slot counts.
 
 use crate::config::BuildConfig;
-use crate::durable::{DurableError, RecoveryReport};
+use crate::durable::{DurableError, Journal, RecoveryReport};
 use crate::index::{
     validate_build_inputs, validate_point, BuildError, BuildStats, NnCellIndex, QueryResult,
 };
@@ -59,7 +69,7 @@ use nncell_geom::{DataSpace, Euclidean, Point};
 use nncell_obs::Registry;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -69,38 +79,23 @@ const PLAIN_MANIFEST: &str = "MANIFEST";
 /// Magic of the plain manifest: `nncell-sharded <S>`.
 const PLAIN_MAGIC: &str = "nncell-sharded";
 /// Magic of the durable `CURRENT` manifest: `sharded <S>`. Deliberately
-/// not a number, so a plain [`crate::DurableIndex::open`] on a sharded
-/// directory fails with a typed corrupt-manifest error instead of
-/// misreading it as a generation.
+/// not a number, so it can never be misread as the bare generation number
+/// of the unsharded layout.
 const DURABLE_MAGIC: &str = "sharded";
-
-/// The authoritative (writer-side) copy of one shard.
-enum ShardWriter {
-    /// In-memory shard.
-    Mem(NnCellIndex<Euclidean>),
-    /// Crash-consistent shard: journal-before-apply through its own WAL.
-    Durable(crate::durable::DurableIndex),
-}
-
-impl ShardWriter {
-    fn index(&self) -> &NnCellIndex<Euclidean> {
-        match self {
-            ShardWriter::Mem(idx) => idx,
-            ShardWriter::Durable(d) => d.index(),
-        }
-    }
-}
+/// File name of the durable manifest (and of a shard's commit pointer).
+const CURRENT: &str = "CURRENT";
 
 /// Writer-side state, guarded by the single writer mutex.
 struct Writer {
-    shards: Vec<ShardWriter>,
+    /// One journal per shard for a durable index; empty in memory.
+    journals: Vec<Journal>,
     /// The next unassigned global id. Round-robin: acknowledged ids are
     /// exactly `0..next_global`.
     next_global: usize,
 }
 
-/// Memtable-tier state ([`ShardedIndex::with_memtable`]): per-shard
-/// unindexed tails plus folder supervision bookkeeping.
+/// Memtable-tier state: per-shard unindexed tails plus folder
+/// supervision bookkeeping.
 ///
 /// Lock order everywhere: `fold_lock` → writer mutex → tail mutexes.
 /// Queries take only tail mutexes (for a bounded snapshot clone), writers
@@ -125,9 +120,9 @@ struct TailState {
 }
 
 impl TailState {
-    fn new(cfg: FoldConfig, shards: usize) -> Self {
+    fn new(shards: usize) -> Self {
         Self {
-            cfg,
+            cfg: FoldConfig::default(),
             tails: (0..shards).map(|_| Mutex::new(Memtable::default())).collect(),
             fold_lock: Mutex::new(()),
             depth: AtomicUsize::new(0),
@@ -160,8 +155,18 @@ impl TailState {
         self.with_metrics(|m| m.tail_depth.set(now as i64));
     }
 
-    fn count_backpressure(&self) {
-        self.with_metrics(|m| m.backpressure.inc());
+    /// The backpressure gate of both write kinds: refuses (and counts)
+    /// a write while the tail is at its high-watermark.
+    fn admit(&self) -> Result<(), DurableError> {
+        let depth = self.depth.load(Ordering::Acquire);
+        if depth >= self.cfg.tail_max {
+            self.with_metrics(|m| m.backpressure.inc());
+            return Err(DurableError::Backpressure {
+                tail: depth,
+                max: self.cfg.tail_max,
+            });
+        }
+        Ok(())
     }
 
     fn record_failure(&self) {
@@ -223,13 +228,14 @@ fn sleep_interruptible(stop: &AtomicBool, dur: Duration) {
 /// protocol. Built over the Euclidean metric (the durable layer's
 /// contract).
 ///
-/// All methods take `&self`: queries run on copy-on-write snapshots,
-/// updates serialize on an internal single-writer lock — share a
-/// `ShardedIndex` (or an `Arc` of one) across threads freely.
+/// All methods take `&self`: queries run on published snapshots, updates
+/// serialize on an internal single-writer lock — share a `ShardedIndex`
+/// (or an `Arc` of one) across threads freely.
 pub struct ShardedIndex {
     dim: usize,
     cfg: BuildConfig,
-    /// Published read snapshots, one cell per shard.
+    /// Published snapshots, one cell per shard: the only in-memory copy
+    /// of each shard's cells.
     snaps: Vec<SnapshotCell<NnCellIndex<Euclidean>>>,
     writer: Mutex<Writer>,
     /// Wall-clock seconds of the initial sharded build (0 for loads).
@@ -239,12 +245,11 @@ pub struct ShardedIndex {
     skipped_points: usize,
     /// Merged queries answered (in any shard) by the exact scan fallback.
     fallback_queries: AtomicU64,
-    /// Per-shard recovery reports from a durable open (empty otherwise).
+    /// Per-shard reports of how each journal was opened or initialized;
+    /// empty exactly when the index is in memory.
     recovery: Vec<RecoveryReport>,
-    durable: bool,
-    /// Memtable tier ([`Self::with_memtable`]); `None` keeps the original
-    /// synchronous apply-then-publish write path.
-    tail: Option<TailState>,
+    /// The memtable tier every write goes through.
+    tail: TailState,
 }
 
 impl ShardedIndex {
@@ -296,19 +301,15 @@ impl ShardedIndex {
                 .map(|h| h.join().expect("shard build worker panicked"))
                 .collect()
         });
-        let mut masters = Vec::with_capacity(shards);
-        for r in built {
-            masters.push(ShardWriter::Mem(r?));
-        }
+        let indexes = built.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(Self::assemble(
             dim,
             cfg,
-            masters,
+            indexes,
+            Vec::new(),
             next_global,
             start.elapsed().as_secs_f64(),
             skipped,
-            Vec::new(),
-            false,
         ))
     }
 
@@ -316,92 +317,64 @@ impl ShardedIndex {
     /// [`Self::insert`].
     pub fn new(dim: usize, shards: usize, cfg: BuildConfig) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        let masters = (0..shards)
-            .map(|_| ShardWriter::Mem(NnCellIndex::new(dim, cfg.clone())))
+        let indexes = (0..shards)
+            .map(|_| NnCellIndex::new(dim, cfg.clone()))
             .collect();
-        Self::assemble(dim, cfg, masters, 0, 0.0, 0, Vec::new(), false)
+        Self::assemble(dim, cfg, indexes, Vec::new(), 0, 0.0, 0)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Publishes `indexes` as the shard snapshots (moved, not copied) with
+    /// their `journals` (empty for an in-memory index).
     fn assemble(
         dim: usize,
         cfg: BuildConfig,
-        masters: Vec<ShardWriter>,
+        indexes: Vec<NnCellIndex<Euclidean>>,
+        journals: Vec<Journal>,
         next_global: usize,
         build_seconds: f64,
         skipped_points: usize,
-        recovery: Vec<RecoveryReport>,
-        durable: bool,
     ) -> Self {
-        let snaps = masters
-            .iter()
-            .map(|m| SnapshotCell::new(m.index().clone()))
-            .collect();
+        let shards = indexes.len();
         Self {
             dim,
             cfg,
-            snaps,
+            snaps: indexes.into_iter().map(SnapshotCell::new).collect(),
+            recovery: journals.iter().map(|j| j.recovery().clone()).collect(),
             writer: Mutex::new(Writer {
-                shards: masters,
+                journals,
                 next_global,
             }),
             build_seconds,
             skipped_points,
             fallback_queries: AtomicU64::new(0),
-            recovery,
-            durable,
-            tail: None,
+            tail: TailState::new(shards),
         }
     }
 
-    /// Enables the LSM-style memtable write path: inserts and removes
-    /// journal (in durable mode), land in a small unindexed per-shard
-    /// tail, and acknowledge in O(1) — no LP solve, no snapshot clone on
-    /// the ack path. Queries stay exact by merging the tail via linear
-    /// scan; a supervised folder ([`Self::run_folder`] or explicit
-    /// [`Self::fold_once`] / [`Self::flush`] calls) applies the tail to
-    /// the NN-cells off the write path.
-    ///
-    /// Call at construction time, before the index is shared.
-    ///
-    /// # Panics
-    /// Panics if a memtable is already enabled.
+    /// Replaces the memtable tuning ([`FoldConfig::default`] until then):
+    /// the tail high-watermark, folder pacing, and fault hooks. Call at
+    /// construction time, before the index is shared.
     #[must_use]
-    pub fn with_memtable(mut self, cfg: FoldConfig) -> Self {
-        assert!(self.tail.is_none(), "memtable already enabled");
-        let shards = self.num_shards();
-        self.tail = Some(TailState::new(cfg, shards));
+    pub fn with_fold_config(mut self, cfg: FoldConfig) -> Self {
+        self.tail.cfg = cfg;
         self
     }
 
-    /// Whether the memtable write path is enabled.
-    pub fn memtable_enabled(&self) -> bool {
-        self.tail.is_some()
-    }
-
-    /// Journaled-but-unfolded operations across all shards (0 without a
-    /// memtable).
+    /// Journaled-but-unfolded operations across all shards.
     pub fn tail_depth(&self) -> usize {
-        self.tail
-            .as_ref()
-            .map_or(0, |t| t.depth.load(Ordering::Acquire))
+        self.tail.depth.load(Ordering::Acquire)
     }
 
     /// Whether the folder has failed [`FoldConfig::degrade_after`]
     /// consecutive times. Writes keep landing in the tail (up to the
     /// high-watermark) and queries stay exact while degraded.
     pub fn is_degraded(&self) -> bool {
-        self.tail
-            .as_ref()
-            .is_some_and(|t| t.degraded.load(Ordering::Acquire))
+        self.tail.degraded.load(Ordering::Acquire)
     }
 
-    /// A point-in-time view of the folder's health (all zeros without a
-    /// memtable).
+    /// A point-in-time view of the folder's health.
     pub fn fold_status(&self) -> FoldStatus {
-        let Some(ts) = &self.tail else {
-            return FoldStatus::default();
-        };
+        let ts = &self.tail;
         FoldStatus {
             tail_depth: ts.depth.load(Ordering::Acquire),
             degraded: ts.degraded.load(Ordering::Acquire),
@@ -412,14 +385,14 @@ impl ShardedIndex {
         }
     }
 
-    /// The memtable configuration, when enabled.
-    pub fn fold_config(&self) -> Option<&FoldConfig> {
-        self.tail.as_ref().map(|t| &t.cfg)
+    /// The memtable configuration.
+    pub fn fold_config(&self) -> &FoldConfig {
+        &self.tail.cfg
     }
 
-    /// The writer lock. A poisoned lock is taken over: masters are only
-    /// mutated through `insert`/`remove`, whose underlying operations
-    /// keep the index consistent on failure.
+    /// The writer lock. A poisoned lock is taken over: the guarded state
+    /// stays valid at every step — a failed journal write poisons only
+    /// that WAL, and the id watermark moves last.
     fn lock_writer(&self) -> MutexGuard<'_, Writer> {
         match self.writer.lock() {
             Ok(g) => g,
@@ -446,25 +419,21 @@ impl ShardedIndex {
         &self.cfg
     }
 
-    /// Total live points across all shards. Without a memtable this reads
-    /// the current snapshots; with one it counts against the masters plus
-    /// the unfolded tails (under the writer lock, so acked writes are
-    /// always reflected even before they fold).
+    /// Total live points across all shards: the published snapshots plus
+    /// the unfolded tails, counted under the writer lock (folds publish
+    /// under it too), so acked writes are reflected before they fold.
     pub fn len(&self) -> usize {
-        let Some(ts) = &self.tail else {
-            return self.snaps.iter().map(|c| c.load().len()).sum();
-        };
-        let w = self.lock_writer();
+        let _w = self.lock_writer();
         let mut total = 0usize;
-        for (i, sw) in w.shards.iter().enumerate() {
-            let master = sw.index();
-            let m = lock_mem(&ts.tails[i]);
-            let master_dead = m
+        for (cell, tail) in self.snaps.iter().zip(&self.tail.tails) {
+            let snap = cell.load();
+            let m = lock_mem(tail);
+            let snap_dead = m
                 .removed_ids()
                 .iter()
-                .filter(|&&local| master.is_live(local))
+                .filter(|&&local| snap.is_live(local))
                 .count();
-            total += master.len() + m.live_inserts() - master_dead;
+            total += snap.len() + m.live_inserts() - snap_dead;
         }
         total
     }
@@ -476,7 +445,7 @@ impl ShardedIndex {
 
     /// Whether updates are journaled through per-shard WALs.
     pub fn is_durable(&self) -> bool {
-        self.durable
+        !self.recovery.is_empty()
     }
 
     /// The current published snapshot of shard `i` (a stable read-only
@@ -489,7 +458,7 @@ impl ShardedIndex {
     }
 
     /// Aggregated construction counters: LP work, candidates, and phase
-    /// profiles summed over the shard masters' lifetimes (dynamic updates
+    /// profiles summed over the shards' lifetimes (dynamic updates
     /// included), with `seconds` the wall clock of the initial sharded
     /// build and `skipped_points` from the global input validation.
     pub fn build_stats(&self) -> BuildStats {
@@ -535,66 +504,54 @@ impl ShardedIndex {
         self.snaps.iter().map(|c| c.load().fallback_queries()).sum()
     }
 
-    /// Per-shard recovery reports from a durable open; empty for
-    /// in-memory indexes.
+    /// Per-shard reports of how each journal was opened (recovery) or
+    /// initialized; empty for in-memory indexes.
     pub fn recovery(&self) -> &[RecoveryReport] {
         &self.recovery
     }
 
     /// Records sitting in the shards' active WALs (0 when not durable).
     pub fn wal_records(&self) -> u64 {
-        let w = self.lock_writer();
-        w.shards
-            .iter()
-            .map(|s| match s {
-                ShardWriter::Mem(_) => 0,
-                ShardWriter::Durable(d) => d.wal_records(),
-            })
-            .sum()
+        self.lock_writer().journals.iter().map(Journal::wal_records).sum()
     }
 
     /// Attaches a metrics registry: every shard's engine, gauge, and tree
     /// series is registered under a `shard="<i>"` label (the LP and WAL
     /// families stay unlabeled, shared as whole-index totals — see
-    /// [`NnCellIndex::attach_metrics_labeled`]). New snapshots are
+    /// [`NnCellIndex::attach_metrics_labeled`]). The snapshots are updated
+    /// in place when no reader holds them (start-up), otherwise a copy is
     /// published so concurrent readers start recording immediately.
     /// Idempotent per shard.
     pub fn attach_metrics(&self, registry: Arc<Registry>) {
         // Fold lock first (the global lock order): a fold publishing
-        // between our store and its own would otherwise clobber the
-        // metrics-attached snapshots with pre-attach clones.
-        let _fold = self.tail.as_ref().map(|ts| lock_fold(&ts.fold_lock));
+        // concurrently would otherwise replace the metrics-attached
+        // snapshots with its pre-attach working copy.
+        let ts = &self.tail;
+        let _fold = lock_fold(&ts.fold_lock);
         let mut w = self.lock_writer();
-        for (i, sw) in w.shards.iter_mut().enumerate() {
+        for (i, cell) in self.snaps.iter().enumerate() {
             let tag = i.to_string();
             let labels: [(&str, &str); 1] = [("shard", tag.as_str())];
-            match sw {
-                ShardWriter::Mem(idx) => {
-                    idx.attach_metrics_labeled(Arc::clone(&registry), &labels);
-                }
-                ShardWriter::Durable(d) => {
-                    d.attach_metrics_labeled(Arc::clone(&registry), &labels);
-                }
-            }
-            self.snaps[i].store(Arc::new(sw.index().clone()));
+            cell.update(|idx| idx.attach_metrics_labeled(Arc::clone(&registry), &labels));
         }
-        if let Some(ts) = &self.tail {
-            let mut slot = match ts.metrics.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            if slot.is_none() {
-                let fm = FoldMetrics::register(&registry);
-                // Seed with the pre-attach totals so registry values are
-                // correct even when the registry arrives late.
-                fm.tail_depth.set(ts.depth.load(Ordering::Acquire) as i64);
-                fm.degraded
-                    .set(i64::from(ts.degraded.load(Ordering::Acquire)));
-                fm.folds.add(ts.folds.load(Ordering::Acquire));
-                fm.folded_records.add(ts.folded_records.load(Ordering::Acquire));
-                fm.failures.add(ts.failures.load(Ordering::Acquire));
-                *slot = Some(fm);
-            }
+        for j in &mut w.journals {
+            j.attach_metrics(&registry);
+        }
+        let mut slot = match ts.metrics.lock() {
+            Ok(g) => g,
+            Err(p) => p.into_inner(),
+        };
+        if slot.is_none() {
+            let fm = FoldMetrics::register(&registry);
+            // Seed with the pre-attach totals so registry values are
+            // correct even when the registry arrives late.
+            fm.tail_depth.set(ts.depth.load(Ordering::Acquire) as i64);
+            fm.degraded
+                .set(i64::from(ts.degraded.load(Ordering::Acquire)));
+            fm.folds.add(ts.folds.load(Ordering::Acquire));
+            fm.folded_records.add(ts.folded_records.load(Ordering::Acquire));
+            fm.failures.add(ts.failures.load(Ordering::Acquire));
+            *slot = Some(fm);
         }
     }
 
@@ -677,7 +634,7 @@ impl ShardedIndex {
         let mut per: Vec<(usize, QueryResponse)> = Vec::with_capacity(snaps.len());
         let mut radius_empty = false;
         for (i, snap) in snaps.iter().enumerate() {
-            let tail_i = tails.as_ref().map(|t| &t[i]).filter(|t| !t.is_empty());
+            let tail_i = Some(&tails[i]).filter(|t| !t.is_empty());
             if snap.is_empty() && tail_i.is_none() {
                 continue;
             }
@@ -720,14 +677,12 @@ impl ShardedIndex {
         Ok(self.merge(q.k(), per))
     }
 
-    /// Bounded-clone views of every shard's unfolded tail (`None` without
-    /// a memtable). Each clone is taken under its shard's tail mutex; the
-    /// combined view may straddle a concurrent ack, which is fine — a
-    /// query is only promised the writes acked before it started.
-    fn tail_snapshots(&self) -> Option<Vec<TailSnapshot>> {
-        self.tail
-            .as_ref()
-            .map(|ts| ts.tails.iter().map(|m| lock_mem(m).snapshot()).collect())
+    /// Bounded-clone views of every shard's unfolded tail. Each clone is
+    /// taken under its shard's tail mutex; the combined view may straddle
+    /// a concurrent ack, which is fine — a query is only promised the
+    /// writes acked before it started.
+    fn tail_snapshots(&self) -> Vec<TailSnapshot> {
+        self.tail.tails.iter().map(|m| lock_mem(m).snapshot()).collect()
     }
 
     /// Executes a batch of typed queries: each non-empty shard runs the
@@ -758,7 +713,7 @@ impl ShardedIndex {
             .iter()
             .enumerate()
             .filter_map(|(i, s)| {
-                let tail_i = tails.as_ref().map(|t| &t[i]).filter(|t| !t.is_empty());
+                let tail_i = Some(&tails[i]).filter(|t| !t.is_empty());
                 if s.is_empty() && tail_i.is_none() {
                     return None;
                 }
@@ -890,151 +845,88 @@ impl ShardedIndex {
     }
 
     // ------------------------------------------------------------------
-    // updates (single writer, copy-on-write publish)
+    // updates (single writer, journaled memtable tail)
     // ------------------------------------------------------------------
 
     /// Inserts a point: assign the next global id, validate (including a
-    /// cross-shard exact-duplicate check), then either apply to the owning
-    /// shard's master and publish a fresh snapshot (synchronous mode), or
-    /// journal and land in the shard's memtable tail (memtable mode —
-    /// O(1) ack, the folder indexes it later). Returns the global id.
-    /// Readers are never blocked; queries started before the publish
-    /// answer from the previous version (plus, in memtable mode, the
-    /// tail merge).
+    /// cross-shard exact-duplicate check against snapshots and tails),
+    /// journal it (durable mode), and land it in the owning shard's
+    /// memtable tail. Returns the global id. The ack is O(1) in the index
+    /// size — no LP solve, no snapshot copy; the folder indexes the point
+    /// later, and queries see it immediately through the tail merge.
     ///
     /// # Errors
     /// [`DurableError::Invalid`] with the same [`BuildError`] variants an
     /// unsharded insert rejects (ids are global);
     /// [`DurableError::Persist`] when a durable shard's journal write
     /// fails; [`DurableError::Backpressure`] when the memtable tail is at
-    /// its high-watermark — nothing is applied or published in any case.
+    /// its high-watermark — nothing is journaled or applied in any case.
     pub fn insert(&self, p: Point) -> Result<usize, DurableError> {
+        let ts = &self.tail;
         let mut w = self.lock_writer();
         let g = w.next_global;
         validate_point(&p, g, self.dim, &DataSpace::unit(self.dim))
             .map_err(DurableError::Invalid)?;
-        if let Some(ts) = &self.tail {
-            return self.insert_memtable(ts, &mut w, g, p);
-        }
-        // Cross-shard duplicate check against the masters (the
-        // authoritative state — snapshots may trail by the publish gap).
-        for (si, sw) in w.shards.iter().enumerate() {
-            if let Some(local) = sw.index().find_live_duplicate(&p) {
+        // The writer lock pins snapshot + tail: folds publish under it.
+        for (si, (cell, tail)) in self.snaps.iter().zip(&ts.tails).enumerate() {
+            let snap = cell.load();
+            let m = lock_mem(tail);
+            let dup = snap
+                .find_live_duplicate(&p)
+                // A snapshot duplicate tombstoned in the tail is dead.
+                .filter(|&local| !m.is_removed(local))
+                .or_else(|| m.find_live_duplicate(&p));
+            if let Some(local) = dup {
                 return Err(DurableError::Invalid(BuildError::DuplicatePoint {
                     id: g,
                     of: self.global_of(si, local),
                 }));
             }
         }
-        let (shard, expected_local) = self.locate(g);
-        let local = match &mut w.shards[shard] {
-            ShardWriter::Mem(idx) => idx.insert(p).map_err(DurableError::Invalid)?,
-            ShardWriter::Durable(d) => d.insert(p)?,
-        };
-        debug_assert_eq!(local, expected_local, "round-robin id mapping out of sync");
-        self.snaps[shard].store(Arc::new(w.shards[shard].index().clone()));
-        w.next_global += 1;
-        Ok(self.global_of(shard, local))
-    }
-
-    /// The memtable ack path: duplicate check against masters *and* tails,
-    /// backpressure check, journal, tail push. No LP work, no snapshot
-    /// clone — the writer-lock hold is O(log n) (the duplicate probe)
-    /// plus an O(1) push, so ack latency is independent of index size.
-    fn insert_memtable(
-        &self,
-        ts: &TailState,
-        w: &mut Writer,
-        g: usize,
-        p: Point,
-    ) -> Result<usize, DurableError> {
-        for (si, sw) in w.shards.iter().enumerate() {
-            let m = lock_mem(&ts.tails[si]);
-            if let Some(local) = sw.index().find_live_duplicate(&p) {
-                // A master duplicate tombstoned in the tail is dead.
-                if !m.is_removed(local) {
-                    return Err(DurableError::Invalid(BuildError::DuplicatePoint {
-                        id: g,
-                        of: self.global_of(si, local),
-                    }));
-                }
-            }
-            if let Some(local) = m.find_live_duplicate(&p) {
-                return Err(DurableError::Invalid(BuildError::DuplicatePoint {
-                    id: g,
-                    of: self.global_of(si, local),
-                }));
-            }
-        }
-        let depth = ts.depth.load(Ordering::Acquire);
-        if depth >= ts.cfg.tail_max {
-            ts.count_backpressure();
-            return Err(DurableError::Backpressure {
-                tail: depth,
-                max: ts.cfg.tail_max,
-            });
-        }
+        ts.admit()?;
         let (shard, local) = self.locate(g);
-        if let ShardWriter::Durable(d) = &mut w.shards[shard] {
+        if let Some(j) = w.journals.get_mut(shard) {
             // Journal-first: the fsync happens here, before the ack. A
             // failure leaves the tail untouched.
-            d.journal(&WalRecord::Insert(p.clone()))?;
+            j.append(&WalRecord::Insert(p.clone()))?;
         }
         lock_mem(&ts.tails[shard]).push_insert(local, p);
         ts.add_depth(1);
         w.next_global += 1;
-        Ok(self.global_of(shard, local))
+        Ok(g)
     }
 
     /// Removes the point with global id `global`. Returns `false` when no
-    /// such point is live (never-assigned ids included). On `true`, in
-    /// synchronous mode the owning shard republished its snapshot
-    /// (journal-first in durable mode); in memtable mode a tombstone
-    /// landed in the shard's tail (journal-first) and queries stop
-    /// returning the point immediately.
+    /// such point is live (never-assigned ids included). On `true` a
+    /// tombstone landed in the shard's tail (journal-first in durable
+    /// mode) and queries stop returning the point immediately.
     ///
     /// # Errors
     /// Journal I/O failures in durable mode, or
     /// [`DurableError::Backpressure`] at the memtable high-watermark;
     /// nothing applied on error.
     pub fn remove(&self, global: usize) -> Result<bool, DurableError> {
+        let ts = &self.tail;
         let mut w = self.lock_writer();
         if global >= w.next_global {
             return Ok(false);
         }
         let (shard, local) = self.locate(global);
-        if let Some(ts) = &self.tail {
-            let live = {
-                let m = lock_mem(&ts.tails[shard]);
-                (w.shards[shard].index().is_live(local) && !m.is_removed(local))
-                    || m.has_live_insert(local)
-            };
-            if !live {
-                return Ok(false);
-            }
-            let depth = ts.depth.load(Ordering::Acquire);
-            if depth >= ts.cfg.tail_max {
-                ts.count_backpressure();
-                return Err(DurableError::Backpressure {
-                    tail: depth,
-                    max: ts.cfg.tail_max,
-                });
-            }
-            if let ShardWriter::Durable(d) = &mut w.shards[shard] {
-                d.journal(&WalRecord::Remove(local as u64))?;
-            }
-            lock_mem(&ts.tails[shard]).push_remove(local);
-            ts.add_depth(1);
-            return Ok(true);
-        }
-        let removed = match &mut w.shards[shard] {
-            ShardWriter::Mem(idx) => idx.remove(local),
-            ShardWriter::Durable(d) => d.remove(local).map_err(DurableError::Persist)?,
+        let live = {
+            let snap = self.snaps[shard].load();
+            let m = lock_mem(&ts.tails[shard]);
+            (snap.is_live(local) && !m.is_removed(local)) || m.has_live_insert(local)
         };
-        if removed {
-            self.snaps[shard].store(Arc::new(w.shards[shard].index().clone()));
+        if !live {
+            return Ok(false);
         }
-        Ok(removed)
+        ts.admit()?;
+        if let Some(j) = w.journals.get_mut(shard) {
+            j.append(&WalRecord::Remove(local as u64))?;
+        }
+        lock_mem(&ts.tails[shard]).push_remove(local);
+        ts.add_depth(1);
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -1043,34 +935,32 @@ impl ShardedIndex {
 
     /// Folds every shard's frozen-plus-active tail into its NN-cell index
     /// and publishes the results. Returns the number of operations folded
-    /// (0 without a memtable or with empty tails). Heavy LP work runs with
-    /// no lock held; only the freeze and publish steps touch the mutexes.
+    /// (0 with empty tails). Heavy LP work runs with no lock held; only the
+    /// freeze and publish steps touch the mutexes.
     ///
     /// # Errors
     /// [`FoldError::Panicked`] when a shard's fold panicked (the batch
     /// stays frozen and merges into the next attempt; shards folded
     /// before the failing one stay folded).
     pub fn fold_once(&self) -> Result<usize, FoldError> {
-        let Some(ts) = &self.tail else {
-            return Ok(0);
-        };
-        let _fold = lock_fold(&ts.fold_lock);
+        let _fold = lock_fold(&self.tail.fold_lock);
         let mut total = 0usize;
         for shard in 0..self.num_shards() {
-            total += self.fold_shard(ts, shard)?;
+            total += self.fold_shard(shard)?;
         }
         Ok(total)
     }
 
-    /// Folds one shard's tail: freeze the batch, deep-clone the published
-    /// snapshot, re-apply the batch in ack order off-lock (under
-    /// `catch_unwind` — a panicking fold, injected or organic, keeps the
-    /// batch for retry and never corrupts the index), then publish master
-    /// and snapshot under the writer lock. Folding performs **zero**
-    /// syscalls: the WAL already holds every record, so crash recovery
-    /// never depends on fold progress and a fold can never double-apply
-    /// into durable state.
-    fn fold_shard(&self, ts: &TailState, shard: usize) -> Result<usize, FoldError> {
+    /// Folds one shard's tail: freeze the batch, clone the published
+    /// snapshot into the fold's working copy, re-apply the batch in ack
+    /// order off-lock (under `catch_unwind` — a panicking fold, injected
+    /// or organic, keeps the batch for retry and never corrupts the
+    /// index), then publish the working copy under the writer lock. The
+    /// caller holds `fold_lock`. Folding performs **zero** syscalls: the
+    /// WAL already holds every record, so crash recovery never depends on
+    /// fold progress and a fold can never double-apply into durable state.
+    fn fold_shard(&self, shard: usize) -> Result<usize, FoldError> {
+        let ts = &self.tail;
         let batch = lock_mem(&ts.tails[shard]).freeze();
         if batch.is_empty() {
             return Ok(0);
@@ -1081,10 +971,8 @@ impl ShardedIndex {
         span.arg("shard", shard as u64);
         span.arg("records", batch.len() as u64);
         let start = Instant::now();
-        // Invariant (memtable mode): the published snapshot equals the
-        // master — both only change under fold_lock + writer lock, which
-        // we hold / will take. Cloning the snapshot instead of the master
-        // keeps the writer lock free during the expensive apply.
+        // Snapshots only change under fold_lock, which we hold, so `base`
+        // is current and the writer lock stays free during the apply.
         let base = self.snaps[shard].load();
         let chaos = ts.cfg.fault_fold_panic.clone();
         let folded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1113,6 +1001,9 @@ impl ShardedIndex {
             }
             idx
         }));
+        // Release the old version now: after the publish below it is
+        // freed as soon as the last in-flight reader lets go of it.
+        drop(base);
         let folded = match folded {
             Ok(idx) => idx,
             Err(_) => {
@@ -1121,13 +1012,10 @@ impl ShardedIndex {
             }
         };
         let records = batch.len();
-        let master_copy = folded.clone();
         {
-            let mut w = self.lock_writer();
-            match &mut w.shards[shard] {
-                ShardWriter::Mem(idx) => *idx = master_copy,
-                ShardWriter::Durable(d) => d.replace_index(master_copy),
-            }
+            // Under the writer lock, so writers and `len` see the new
+            // snapshot and the trimmed tail together.
+            let _w = self.lock_writer();
             self.snaps[shard].store(Arc::new(folded));
             lock_mem(&ts.tails[shard]).clear_frozen();
             ts.sub_depth(records);
@@ -1155,14 +1043,11 @@ impl ShardedIndex {
     /// sleep [`FoldConfig::poll_interval`] when idle, back off
     /// exponentially (capped at [`FoldConfig::retry_cap`]) after a failed
     /// fold. Returns promptly once `stop` is set. Run it from a dedicated
-    /// thread with a shared `Arc<ShardedIndex>`; a no-op without a
-    /// memtable. All failure accounting (consecutive-failure streaks, the
+    /// thread with a shared `Arc<ShardedIndex>`. All failure accounting (consecutive-failure streaks, the
     /// degraded flag, `nncell_fold_*` metrics) happens inside
     /// [`Self::fold_once`], so manual folds and the loop agree.
     pub fn run_folder(&self, stop: &AtomicBool) {
-        let Some(ts) = &self.tail else {
-            return;
-        };
+        let ts = &self.tail;
         let mut backoff = ts.cfg.retry_base;
         while !stop.load(Ordering::Acquire) {
             if ts.depth.load(Ordering::Acquire) == 0 {
@@ -1183,10 +1068,10 @@ impl ShardedIndex {
     // persistence
     // ------------------------------------------------------------------
 
-    /// Saves every shard master plus a manifest into `dir`
-    /// (`MANIFEST` + `shard-<i>.nncell`, all through the atomic write
-    /// path). Point-in-time consistent: the writer lock is held across
-    /// the save.
+    /// Saves every shard plus a manifest into `dir` (`MANIFEST` +
+    /// `shard-<i>.nncell`, all through the atomic write path), folding
+    /// the memtable tail first so the files hold every ack.
+    /// Point-in-time consistent: the writer lock is held across the save.
     ///
     /// # Errors
     /// I/O failures of the underlying writes.
@@ -1199,34 +1084,27 @@ impl ShardedIndex {
     /// # Errors
     /// See [`Self::save`].
     pub fn save_with_vfs(&self, vfs: &dyn Vfs, dir: &Path) -> Result<(), PersistError> {
-        // With a memtable the masters trail the acked state by the tail;
-        // fold everything in first so the saved files hold every ack.
         // Fold lock before writer lock (the global order); the tail-empty
         // check happens *under* the writer lock, so no write can sneak in
         // between the final fold and the save.
-        let _fold = self.tail.as_ref().map(|ts| lock_fold(&ts.fold_lock));
-        let w = loop {
+        let _fold = lock_fold(&self.tail.fold_lock);
+        let _w = loop {
             let w = self.lock_writer();
             // Authoritative emptiness check under the writer lock (reads
             // the tails themselves, not the depth counter).
-            let drained = self.tail.as_ref().is_none_or(|ts| {
-                ts.tails.iter().all(|m| lock_mem(m).len() == 0)
-            });
-            if drained {
+            if self.tail.tails.iter().all(|m| lock_mem(m).len() == 0) {
                 break w;
             }
             drop(w);
-            if let Some(ts) = &self.tail {
-                for shard in 0..self.num_shards() {
-                    self.fold_shard(ts, shard).map_err(|e| {
-                        PersistError::Corrupt(format!("memtable flush before save failed: {e}"))
-                    })?;
-                }
+            for shard in 0..self.num_shards() {
+                self.fold_shard(shard).map_err(|e| {
+                    PersistError::Corrupt(format!("memtable flush before save failed: {e}"))
+                })?;
             }
         };
         vfs.create_dir_all(dir)?;
-        for (i, sw) in w.shards.iter().enumerate() {
-            sw.index()
+        for (i, cell) in self.snaps.iter().enumerate() {
+            cell.load()
                 .save_with_vfs(vfs, &dir.join(format!("shard-{i}.nncell")))?;
         }
         // Manifest last: a crash mid-save leaves either the old manifest
@@ -1235,7 +1113,7 @@ impl ShardedIndex {
         write_atomic(
             vfs,
             &dir.join(PLAIN_MANIFEST),
-            format!("{PLAIN_MAGIC} {}\n", w.shards.len()).as_bytes(),
+            format!("{PLAIN_MAGIC} {}\n", self.num_shards()).as_bytes(),
         )?;
         Ok(())
     }
@@ -1258,32 +1136,28 @@ impl ShardedIndex {
         let shards = parse_manifest(&text, PLAIN_MAGIC).ok_or_else(|| {
             PersistError::Corrupt(format!("sharded manifest holds {text:?}"))
         })?;
-        let mut masters = Vec::with_capacity(shards);
-        let mut next_global = 0usize;
-        for i in 0..shards {
-            let idx =
-                NnCellIndex::load_with_vfs(vfs, &dir.join(format!("shard-{i}.nncell")))?;
-            next_global += idx.points().len();
-            masters.push(ShardWriter::Mem(idx));
-        }
-        let (dim, cfg) = check_shard_agreement(&masters)?;
-        Ok(Self::assemble(
-            dim,
-            cfg,
-            masters,
-            next_global,
-            0.0,
-            0,
-            Vec::new(),
-            false,
-        ))
+        let indexes = (0..shards)
+            .map(|i| NnCellIndex::load_with_vfs(vfs, &dir.join(format!("shard-{i}.nncell"))))
+            .collect::<Result<Vec<_>, _>>()?;
+        Self::assemble_loaded(indexes, Vec::new())
     }
 
-    /// Opens (or initializes) a crash-consistent sharded index: a
-    /// top-level `CURRENT` manifest recording the shard count, one full
-    /// durable directory (`shard-<i>/`) per shard. On open, each shard
-    /// recovers independently (snapshot load + WAL replay; see
-    /// [`Self::recovery`]); `shards` must match the manifest.
+    /// Publishes shards read from disk: checks they agree on
+    /// dimensionality and takes the id watermark from their slot counts.
+    fn assemble_loaded(
+        indexes: Vec<NnCellIndex<Euclidean>>,
+        journals: Vec<Journal>,
+    ) -> Result<Self, PersistError> {
+        let (dim, cfg) = check_shard_agreement(&indexes)?;
+        let next_global = indexes.iter().map(|idx| idx.points().len()).sum();
+        Ok(Self::assemble(dim, cfg, indexes, journals, next_global, 0.0, 0))
+    }
+
+    /// Opens a crash-consistent sharded index, initializing `dir` with
+    /// `shards` empty shards of dimensionality `dim` when it holds no
+    /// committed index yet. An existing directory opens as in
+    /// [`Self::open_durable_existing`]; its shard count and
+    /// dimensionality must match `shards` and `dim`.
     ///
     /// # Errors
     /// I/O failures, a corrupt manifest, or a shard-count/dimensionality
@@ -1309,61 +1183,32 @@ impl ShardedIndex {
         cfg: BuildConfig,
     ) -> Result<Self, PersistError> {
         assert!(shards >= 1, "need at least one shard");
-        vfs.create_dir_all(dir)?;
-        let manifest = dir.join("CURRENT");
-        let shard_count = if vfs.exists(&manifest) {
-            let text = manifest_text(vfs.read(&manifest)?)?;
-            let stored = parse_manifest(&text, DURABLE_MAGIC).ok_or_else(|| {
-                PersistError::Corrupt(format!(
-                    "sharded CURRENT holds {text:?} (expected `{DURABLE_MAGIC} <count>`)"
-                ))
-            })?;
-            if stored != shards {
-                return Err(PersistError::Corrupt(format!(
-                    "directory {dir:?} is sharded {stored} ways, caller expected {shards}"
-                )));
-            }
-            stored
-        } else {
-            write_atomic(
-                vfs.as_ref(),
-                &manifest,
-                format!("{DURABLE_MAGIC} {shards}\n").as_bytes(),
-            )?;
-            shards
-        };
-        let mut masters = Vec::with_capacity(shard_count);
-        let mut recovery = Vec::with_capacity(shard_count);
-        let mut next_global = 0usize;
-        for i in 0..shard_count {
-            let d = NnCellIndex::open_durable_with_vfs(
-                Arc::clone(&vfs),
-                &dir.join(format!("shard-{i}")),
-                dim,
-                cfg.clone(),
-            )?;
-            recovery.push(d.recovery().clone());
-            next_global += d.index().points().len();
-            masters.push(ShardWriter::Durable(d));
+        if !vfs.exists(&dir.join(CURRENT)) {
+            return Self::new(dim, shards, cfg).into_durable_with_vfs(vfs, dir);
         }
-        let (dim, cfg) = check_shard_agreement(&masters)?;
-        Ok(Self::assemble(
-            dim,
-            cfg,
-            masters,
-            next_global,
-            0.0,
-            0,
-            recovery,
-            true,
-        ))
+        let opened = Self::open_durable_existing_with_vfs(vfs, dir)?;
+        if opened.num_shards() != shards {
+            return Err(PersistError::Corrupt(format!(
+                "directory {dir:?} is sharded {} ways, caller expected {shards}",
+                opened.num_shards()
+            )));
+        }
+        if opened.dim() != dim {
+            return Err(PersistError::Corrupt(format!(
+                "durable index at {dir:?} is {}-dimensional, caller expected {dim}",
+                opened.dim()
+            )));
+        }
+        Ok(opened)
     }
 
-    /// Opens an **existing** durable sharded directory, taking the shard
-    /// count from the top-level `CURRENT` manifest and dimensionality and
-    /// configuration from the shards' committed generations — the
-    /// counterpart of [`crate::DurableIndex::open`] for directories the
-    /// CLI auto-detects via [`Self::manifest_shards`].
+    /// Opens an **existing** durable directory, taking the shard count
+    /// from the top-level `CURRENT` manifest and dimensionality and
+    /// configuration from the shards' committed generations. Each shard
+    /// recovers independently (snapshot load + WAL replay; see
+    /// [`Self::recovery`]). A `CURRENT` holding a bare generation number
+    /// — the unsharded layout of earlier releases — opens as one shard
+    /// rooted at `dir` itself, and stays in that layout.
     ///
     /// # Errors
     /// I/O failures, a missing or corrupt manifest, no committed shard
@@ -1380,42 +1225,33 @@ impl ShardedIndex {
         vfs: Arc<dyn Vfs>,
         dir: &Path,
     ) -> Result<Self, PersistError> {
-        let text = manifest_text(vfs.read(&dir.join("CURRENT"))?)?;
-        let shards = parse_manifest(&text, DURABLE_MAGIC).ok_or_else(|| {
-            PersistError::Corrupt(format!(
-                "sharded CURRENT holds {text:?} (expected `{DURABLE_MAGIC} <count>`)"
-            ))
-        })?;
-        let mut masters = Vec::with_capacity(shards);
-        let mut recovery = Vec::with_capacity(shards);
-        let mut next_global = 0usize;
-        for i in 0..shards {
-            let d = crate::durable::DurableIndex::open_with_vfs(
-                Arc::clone(&vfs),
-                &dir.join(format!("shard-{i}")),
-            )?;
-            recovery.push(d.recovery().clone());
-            next_global += d.index().points().len();
-            masters.push(ShardWriter::Durable(d));
+        let text = manifest_text(vfs.read(&dir.join(CURRENT))?)?;
+        let shard_dirs: Vec<PathBuf> = match parse_manifest(&text, DURABLE_MAGIC) {
+            Some(shards) => (0..shards).map(|i| dir.join(format!("shard-{i}"))).collect(),
+            None if text.trim().parse::<u64>().is_ok() => vec![dir.to_path_buf()],
+            None => {
+                return Err(PersistError::Corrupt(format!(
+                    "CURRENT holds {text:?} (expected `{DURABLE_MAGIC} <count>` or a generation)"
+                )))
+            }
+        };
+        let mut indexes = Vec::with_capacity(shard_dirs.len());
+        let mut journals = Vec::with_capacity(shard_dirs.len());
+        for shard_dir in &shard_dirs {
+            let (journal, idx) = Journal::open(Arc::clone(&vfs), shard_dir)?;
+            indexes.push(idx);
+            journals.push(journal);
         }
-        let (dim, cfg) = check_shard_agreement(&masters)?;
-        Ok(Self::assemble(
-            dim,
-            cfg,
-            masters,
-            next_global,
-            0.0,
-            0,
-            recovery,
-            true,
-        ))
+        Self::assemble_loaded(indexes, journals)
     }
 
     /// Converts an in-memory sharded index into a crash-consistent one:
-    /// each shard master becomes the generation-0 snapshot of its own
-    /// durable directory (`dir/shard-<i>/`) and the top-level `CURRENT`
-    /// records the shard count. Build stats carry over; subsequent
-    /// updates journal through the per-shard WALs.
+    /// the memtable tail is folded, each shard's snapshot becomes the
+    /// generation-0 snapshot of its own journal directory
+    /// (`dir/shard-<i>/`), and the top-level `CURRENT` — written last, the
+    /// commit point — records the shard count. Build stats and the fold
+    /// configuration carry over; subsequent updates journal through the
+    /// per-shard WALs.
     ///
     /// # Errors
     /// I/O failures, an already-initialized target directory, or calling
@@ -1429,63 +1265,46 @@ impl ShardedIndex {
     /// # Errors
     /// See [`Self::into_durable`].
     pub fn into_durable_with_vfs(
-        self,
+        mut self,
         vfs: Arc<dyn Vfs>,
         dir: &Path,
     ) -> Result<Self, PersistError> {
-        if self.durable {
+        if self.is_durable() {
             return Err(PersistError::Corrupt(
                 "index is already durable; open it in place instead".into(),
             ));
         }
-        // Fold any unindexed tail into the masters first: we own `self`
-        // exclusively here, so the tail is quiescent after the flush. The
-        // memtable (with its configuration) carries over to the durable
-        // index.
-        if self.tail.is_some() {
-            self.flush().map_err(|e| {
-                PersistError::Corrupt(format!("memtable flush before conversion failed: {e}"))
-            })?;
+        if vfs.exists(&dir.join(CURRENT)) {
+            return Err(PersistError::Corrupt(format!(
+                "directory {dir:?} already holds a durable index"
+            )));
         }
-        let tail_cfg = self.tail.as_ref().map(|t| t.cfg.clone());
-        let w = match self.writer.into_inner() {
-            Ok(w) => w,
-            Err(p) => p.into_inner(),
-        };
+        // We own `self` exclusively, so the tail is quiescent after this.
+        self.flush().map_err(|e| {
+            PersistError::Corrupt(format!("memtable flush before conversion failed: {e}"))
+        })?;
         vfs.create_dir_all(dir)?;
-        let shards = w.shards.len();
-        let mut masters = Vec::with_capacity(shards);
-        for (i, sw) in w.shards.into_iter().enumerate() {
-            let ShardWriter::Mem(idx) = sw else {
-                unreachable!("non-durable index holds only Mem shards");
-            };
-            masters.push(ShardWriter::Durable(crate::durable::DurableIndex::create_with_vfs(
-                Arc::clone(&vfs),
-                &dir.join(format!("shard-{i}")),
-                idx,
-            )?));
-        }
-        // Manifest last, as in save(): a crash mid-conversion leaves no
-        // CURRENT, so the half-written directory fails typed on open.
+        // Shard directories left by an interrupted conversion sit under
+        // a never-committed manifest; Journal::create overwrites them.
+        let journals = self
+            .snaps
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| {
+                Journal::create(Arc::clone(&vfs), &dir.join(format!("shard-{i}")), &cell.load())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         write_atomic(
             vfs.as_ref(),
-            &dir.join("CURRENT"),
-            format!("{DURABLE_MAGIC} {shards}\n").as_bytes(),
+            &dir.join(CURRENT),
+            format!("{DURABLE_MAGIC} {}\n", journals.len()).as_bytes(),
         )?;
-        let out = Self::assemble(
-            self.dim,
-            self.cfg,
-            masters,
-            w.next_global,
-            self.build_seconds,
-            self.skipped_points,
-            Vec::new(),
-            true,
-        );
-        Ok(match tail_cfg {
-            Some(cfg) => out.with_memtable(cfg),
-            None => out,
-        })
+        self.recovery = journals.iter().map(|j| j.recovery().clone()).collect();
+        match self.writer.get_mut() {
+            Ok(w) => w.journals = journals,
+            Err(p) => p.into_inner().journals = journals,
+        }
+        Ok(self)
     }
 
     /// The shard count recorded in a sharded directory's manifest — plain
@@ -1497,15 +1316,15 @@ impl ShardedIndex {
             let text = String::from_utf8(std::fs::read(dir.join(name)).ok()?).ok()?;
             parse_manifest(&text, magic)
         };
-        try_file("CURRENT", DURABLE_MAGIC).or_else(|| try_file(PLAIN_MANIFEST, PLAIN_MAGIC))
+        try_file(CURRENT, DURABLE_MAGIC).or_else(|| try_file(PLAIN_MANIFEST, PLAIN_MAGIC))
     }
 
     /// Checkpoints every durable shard (snapshot + fresh WAL + `CURRENT`
     /// flip, per shard). A no-op for in-memory indexes.
     ///
-    /// In memtable mode the fresh WAL is seeded with the shard's unfolded
-    /// tail (one batched fsync) before the `CURRENT` flip, preserving the
-    /// invariant *disk snapshot + disk WAL ≡ master + tail*: a checkpoint
+    /// The fresh WAL is seeded with the shard's unfolded tail (one batched
+    /// fsync) before the `CURRENT` flip, preserving the invariant *disk
+    /// snapshot + disk WAL ≡ published snapshot + tail*: a checkpoint
     /// taken while the folder is behind (or broken) still recovers every
     /// acked write, and because folding performs no syscalls, nothing can
     /// double-apply.
@@ -1515,51 +1334,28 @@ impl ShardedIndex {
     /// failing shard keeps its previous generation intact.
     pub fn checkpoint(&self) -> Result<(), PersistError> {
         // Fold lock first: a checkpoint interleaved with an in-flight
-        // fold could otherwise snapshot a master missing the frozen batch
+        // fold could otherwise snapshot cells missing the frozen batch
         // while seeding the WAL without it either.
-        let _fold = self.tail.as_ref().map(|ts| lock_fold(&ts.fold_lock));
+        let _fold = lock_fold(&self.tail.fold_lock);
         let mut w = self.lock_writer();
-        for (i, sw) in w.shards.iter_mut().enumerate() {
-            if let ShardWriter::Durable(d) = sw {
-                let tail_recs = match &self.tail {
-                    Some(ts) => lock_mem(&ts.tails[i]).wal_records(),
-                    None => Vec::new(),
-                };
-                d.checkpoint_with_tail(&tail_recs)?;
-            }
+        for (i, journal) in w.journals.iter_mut().enumerate() {
+            let tail = lock_mem(&self.tail.tails[i]).wal_records();
+            journal.checkpoint(&self.snaps[i].load(), &tail)?;
         }
         Ok(())
     }
 
-    /// Checkpoints every durable shard and consumes the handle — the
-    /// clean-shutdown path leaving zero replay debt (in memtable mode:
-    /// zero debt when the final flush folds everything; a tail stranded
-    /// by a broken folder is re-journaled by the tail-aware checkpoint
-    /// and replayed on the next open).
+    /// Folds what it can and checkpoints every durable shard, consuming
+    /// the handle — the clean-shutdown path. Replay debt is zero when the
+    /// final flush folds everything; a tail stranded by a broken folder
+    /// is re-journaled by the checkpoint and replayed on the next open.
     ///
     /// # Errors
     /// See [`Self::checkpoint`].
     pub fn close(self) -> Result<(), PersistError> {
-        if self.tail.is_some() {
-            // Best-effort fold: a degraded folder must not block
-            // shutdown, and the tail-aware checkpoint below preserves
-            // whatever stays unfolded.
-            let _ = self.flush();
-            self.checkpoint()?;
-            // Not d.close(): that would checkpoint again with an empty
-            // tail, discarding any unfolded acked writes.
-            return Ok(());
-        }
-        let w = match self.writer.into_inner() {
-            Ok(w) => w,
-            Err(p) => p.into_inner(),
-        };
-        for sw in w.shards {
-            if let ShardWriter::Durable(d) = sw {
-                d.close()?;
-            }
-        }
-        Ok(())
+        // Best-effort fold: a degraded folder must not block shutdown.
+        let _ = self.flush();
+        self.checkpoint()
     }
 }
 
@@ -1578,17 +1374,18 @@ fn parse_manifest(text: &str, magic: &str) -> Option<usize> {
 
 /// Every shard must agree on dimensionality and configuration; returns
 /// the common `(dim, cfg)`.
-fn check_shard_agreement(masters: &[ShardWriter]) -> Result<(usize, BuildConfig), PersistError> {
-    let first = masters
+fn check_shard_agreement(
+    indexes: &[NnCellIndex<Euclidean>],
+) -> Result<(usize, BuildConfig), PersistError> {
+    let first = indexes
         .first()
-        .ok_or_else(|| PersistError::Corrupt("sharded manifest names zero shards".into()))?
-        .index();
+        .ok_or_else(|| PersistError::Corrupt("sharded manifest names zero shards".into()))?;
     let dim = first.dim();
-    for (i, sw) in masters.iter().enumerate().skip(1) {
-        if sw.index().dim() != dim {
+    for (i, idx) in indexes.iter().enumerate().skip(1) {
+        if idx.dim() != dim {
             return Err(PersistError::Corrupt(format!(
                 "shard {i} is {}-dimensional, shard 0 is {dim}-dimensional",
-                sw.index().dim()
+                idx.dim()
             )));
         }
     }

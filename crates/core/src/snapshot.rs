@@ -2,8 +2,8 @@
 //!
 //! The sharded serving layer ([`crate::ShardedIndex`]) needs readers to
 //! proceed concurrently with writers without ever observing a
-//! half-mutated index. The protocol is copy-on-write publication: a
-//! writer clones the authoritative index, applies its mutation, and
+//! half-mutated index. The protocol is copy-on-write publication: the
+//! folder clones the published index, applies a batch of writes, and
 //! *publishes* the new version by swapping an `Arc`; readers grab the
 //! current `Arc` once and run the whole query on that immutable version.
 //!
@@ -56,6 +56,20 @@ impl<T> SnapshotCell<T> {
             Err(p) => p.into_inner(),
         };
         *guard = next;
+    }
+
+    /// Mutates the published version in place when no reader holds it,
+    /// or publishes a mutated clone otherwise (`Arc::make_mut`). Stores
+    /// serialize behind the slot mutex for the duration of `f`.
+    pub(crate) fn update(&self, f: impl FnOnce(&mut T))
+    where
+        T: Clone,
+    {
+        let mut guard = match self.slot.lock() {
+            Ok(g) => g,
+            Err(p) => p.into_inner(),
+        };
+        f(Arc::make_mut(&mut guard));
     }
 }
 

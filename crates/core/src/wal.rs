@@ -1,8 +1,9 @@
 //! Write-ahead log for dynamic index updates.
 //!
-//! Every [`crate::DurableIndex::insert`] / `remove` is journaled here —
-//! and fsynced — *before* the in-memory index mutates, so an update that
-//! was acknowledged to the caller can always be replayed after a crash.
+//! Every durable [`crate::ShardedIndex::insert`] / `remove` is journaled
+//! here — and fsynced — *before* it reaches the memtable tail, so an
+//! update that was acknowledged to the caller can always be replayed
+//! after a crash.
 //!
 //! **Format `NNWAL001`**: an 8-byte magic followed by self-delimiting
 //! records, each framed as
@@ -193,9 +194,10 @@ pub fn read_wal(vfs: &dyn Vfs, path: &Path) -> Result<WalReplay, PersistError> {
 ///
 /// After any append or sync error the writer is **poisoned**: the file may
 /// hold bytes that were neither acknowledged nor rolled back, so further
-/// appends are refused until [`crate::DurableIndex::checkpoint`] rotates to
-/// a fresh log. (The in-memory index — which never applied the failed
-/// update — is the authority the next snapshot is written from.)
+/// appends are refused until [`crate::ShardedIndex::checkpoint`] rotates
+/// to a fresh log. (The published snapshot plus the memtable tail — which
+/// never received the failed update — is the authority the next
+/// generation is written from.)
 pub struct WalWriter {
     file: Box<dyn VfsFile>,
     records: u64,
@@ -204,7 +206,7 @@ pub struct WalWriter {
 }
 
 /// Registry handles for the write-ahead log (attached via
-/// [`crate::DurableIndex::attach_metrics`]).
+/// [`crate::ShardedIndex::attach_metrics`]).
 #[derive(Clone)]
 pub struct WalMetrics {
     /// `nncell_wal_appends_total` — records acknowledged durable.
@@ -229,8 +231,8 @@ impl WalWriter {
     ///
     /// # Errors
     /// I/O failures. The *name* is durable only after the caller syncs the
-    /// directory, which [`crate::DurableIndex`] does before committing any
-    /// generation pointing at this file.
+    /// directory, which the durable layer ([`crate::durable`]) does before
+    /// committing any generation pointing at this file.
     pub fn create(vfs: &dyn Vfs, path: &Path) -> Result<WalWriter, PersistError> {
         let mut file = vfs.create(path)?;
         file.write_all(WAL_MAGIC)?;

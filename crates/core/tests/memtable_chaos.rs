@@ -76,7 +76,7 @@ fn panicking_folder_degrades_gracefully_and_recovers() {
     let chaos = Arc::new(AtomicBool::new(true));
     let idx = ShardedIndex::build((0..24).map(pt).collect(), SHARDS, cfg())
         .expect("seed build")
-        .with_memtable(FoldConfig {
+        .with_fold_config(FoldConfig {
             tail_max: 1024,
             poll_interval: Duration::from_millis(1),
             retry_base: Duration::from_millis(1),
@@ -159,7 +159,7 @@ fn panicking_folder_degrades_gracefully_and_recovers() {
 /// long the folder stays broken.
 #[test]
 fn tail_high_watermark_sheds_writes_until_a_fold_drains_it() {
-    let idx = ShardedIndex::new(DIM, SHARDS, cfg()).with_memtable(FoldConfig {
+    let idx = ShardedIndex::new(DIM, SHARDS, cfg()).with_fold_config(FoldConfig {
         tail_max: 4,
         ..FoldConfig::default()
     });
@@ -194,7 +194,7 @@ fn tail_high_watermark_sheds_writes_until_a_fold_drains_it() {
 /// masters) and shards emptied by tail tombstones.
 #[test]
 fn folds_interleaved_with_writes_keep_answers_exact() {
-    let idx = ShardedIndex::new(DIM, SHARDS, cfg()).with_memtable(FoldConfig::default());
+    let idx = ShardedIndex::new(DIM, SHARDS, cfg()).with_fold_config(FoldConfig::default());
     let mut live: Vec<(usize, Point)> = Vec::new();
 
     // Purely-from-tail answers (nothing folded yet).
@@ -239,7 +239,7 @@ fn folds_interleaved_with_writes_keep_answers_exact() {
 /// union is ranked by `(distance, id)` with no truncation.
 #[test]
 fn radius_queries_merge_the_unindexed_tail() {
-    let idx = ShardedIndex::new(DIM, SHARDS, cfg()).with_memtable(FoldConfig {
+    let idx = ShardedIndex::new(DIM, SHARDS, cfg()).with_fold_config(FoldConfig {
         // No folder thread: everything stays in the tail for the whole
         // test, so every answer exercises the merge path.
         ..FoldConfig::default()

@@ -4,7 +4,7 @@
 //! recovery report) — the registry is a mirror, never a second opinion.
 
 use nncell_core::{
-    BuildConfig, DurableIndex, NnCellIndex, Query, QueryScratch, Registry, Strategy,
+    BuildConfig, NnCellIndex, Query, QueryScratch, Registry, ShardedIndex, Strategy,
 };
 use nncell_geom::Point;
 use std::sync::Arc;
@@ -179,7 +179,7 @@ fn durable_stack_reports_wal_and_rotation_counters() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut d = NnCellIndex::open_durable(&dir, 2, cfg()).unwrap();
+    let d = ShardedIndex::open_durable(&dir, 2, 1, cfg()).unwrap();
     let registry = Registry::new();
     d.attach_metrics(registry.clone());
     for i in 0..6 {
@@ -197,6 +197,7 @@ fn durable_stack_reports_wal_and_rotation_counters() {
     assert_eq!(snap.counter("nncell_snapshot_rotations_total"), Some(0));
 
     // Checkpoint rotates the WAL; the fresh writer stays instrumented.
+    d.flush().unwrap();
     d.checkpoint().unwrap();
     d.insert(Point::new(vec![0.93, 0.61])).unwrap();
     let snap = registry.snapshot();
@@ -205,16 +206,17 @@ fn durable_stack_reports_wal_and_rotation_counters() {
     drop(d);
 
     // Reopen: the replay counters are seeded from the recovery report.
-    let mut d = DurableIndex::open(&dir).unwrap();
+    let d = ShardedIndex::open_durable_existing(&dir).unwrap();
     let registry = Registry::new();
     d.attach_metrics(registry.clone());
     let snap = registry.snapshot();
-    assert_eq!(
-        snap.counter("nncell_wal_replayed_total"),
-        Some(d.recovery().replayed as u64)
-    );
+    assert_eq!(d.recovery()[0].replayed, 1);
+    assert_eq!(snap.counter("nncell_wal_replayed_total"), Some(1));
     assert_eq!(snap.counter("nncell_wal_replay_dropped_total"), Some(0));
-    assert_eq!(snap.gauge("nncell_live_points"), Some(d.len() as i64));
+    assert_eq!(
+        snap.gauge("nncell_live_points{shard=\"0\"}"),
+        Some(d.len() as i64)
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -115,11 +115,18 @@ proptest! {
         }
         let whole = NnCellIndex::build(pts.clone(), cfg).unwrap();
         let engine = QueryEngine::sequential(&whole);
-        for (g, p) in pts.iter().enumerate() {
-            let q = Query::nn(p.as_slice());
-            let got = sharded.query(&q).unwrap();
-            prop_assert_eq!(got.best.id, g, "every point is its own nearest neighbor");
-            assert_bit_identical(&got, &engine.execute(&q).unwrap(), "post-insert")?;
+        // Once with the inserts in the memtable tail, once folded.
+        for stage in ["tail", "folded"] {
+            if stage == "folded" {
+                sharded.flush().unwrap();
+                prop_assert_eq!(sharded.tail_depth(), 0);
+            }
+            for (g, p) in pts.iter().enumerate() {
+                let q = Query::nn(p.as_slice());
+                let got = sharded.query(&q).unwrap();
+                prop_assert_eq!(got.best.id, g, "every point is its own nearest neighbor");
+                assert_bit_identical(&got, &engine.execute(&q).unwrap(), stage)?;
+            }
         }
     }
 }
@@ -251,28 +258,33 @@ fn queries_run_concurrently_with_inserts() {
     let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(3).build();
     let sharded = ShardedIndex::build(pts[..8].to_vec(), 3, cfg).unwrap();
     let stop = AtomicBool::new(false);
+    // Tail acks outrun thread startup; the barrier makes every reader
+    // overlap the writes and the fold publishes.
+    let start = std::sync::Barrier::new(3);
     std::thread::scope(|s| {
         for reader in 0..2 {
-            let sharded = &sharded;
-            let stop = &stop;
+            let (sharded, stop, start) = (&sharded, &stop, &start);
             let probe = pts[reader].as_slice().to_vec();
             s.spawn(move || {
-                let mut served = 0u32;
-                while !stop.load(Ordering::Relaxed) {
+                start.wait();
+                loop {
                     // Readers must never block, error, or observe a
                     // half-applied insert: every response is a live point.
                     let r = sharded.query(&Query::nn(probe.clone())).unwrap();
                     assert!(r.best.dist.is_finite());
                     assert!(r.best.id < 64, "id {} was never assigned", r.best.id);
-                    served += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
-                assert!(served > 0, "reader never ran");
             });
         }
+        start.wait();
         for p in &pts[8..] {
             sharded.insert(p.clone()).unwrap();
         }
-        // Removals publish snapshots under readers too.
+        // Folds publish snapshots under the readers.
+        sharded.flush().unwrap();
         assert!(sharded.remove(10).unwrap());
         assert!(sharded.remove(33).unwrap());
         stop.store(true, Ordering::Relaxed);
@@ -328,7 +340,7 @@ fn assert_remove_during_query_parity(idx: &ShardedIndex, pts: &[Point], n_remove
     // barrier makes sure every reader brackets at least the storm's tail.
     let start = std::sync::Barrier::new(3);
     std::thread::scope(|s| {
-        if idx.memtable_enabled() {
+        {
             let (idx, stop) = (&idx, &stop);
             s.spawn(move || idx.run_folder(stop));
         }
@@ -444,12 +456,12 @@ fn removes_race_queries_with_linear_scan_parity() {
 fn removes_race_queries_through_the_memtable_tail() {
     let pts = lcg_points(160, 0x5eed_0011);
     let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(3).build();
-    // Seed the cells with a prefix, push the rest through the journaled
-    // tail, then race the same removal storm against a live folder: the
-    // merge must stay indistinguishable from the synchronous path.
+    // Seed the cells with a prefix, push the rest through the tail, then
+    // race the same removal storm against a live folder: the merge must
+    // stay indistinguishable from a fully built index.
     let sharded = ShardedIndex::build(pts[..16].to_vec(), 3, cfg)
         .unwrap()
-        .with_memtable(FoldConfig::default());
+        .with_fold_config(FoldConfig::default());
     for (i, p) in pts.iter().enumerate().skip(16) {
         assert_eq!(sharded.insert(p.clone()).unwrap(), i);
     }

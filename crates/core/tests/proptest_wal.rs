@@ -3,9 +3,11 @@
 //! A random interleaving of inserts, duplicate inserts, and removes —
 //! removes of the id inserted one step earlier, of long-dead ids, and of
 //! ids that were never assigned — is applied simultaneously to an
-//! in-memory [`NnCellIndex`] and to a [`DurableIndex`] over the
-//! fault-injection file system. The durable handle is then dropped
-//! *without* a checkpoint (the crash path) and recovered. Recovery must
+//! in-memory [`NnCellIndex`] and to a one-shard durable [`ShardedIndex`]
+//! over the fault-injection file system, whose writes go through the
+//! journaled memtable tail and are folded every few ops. The durable
+//! handle is then dropped *without* a checkpoint (the crash path) and
+//! recovered. Recovery must
 //! reproduce the in-memory index exactly: the same id→point slots, the
 //! same liveness, the same query answers, and — because replay re-runs the
 //! very same cell computations from the same empty starting state — the
@@ -14,7 +16,8 @@
 use nncell_core::durable::DurableError;
 use nncell_core::vfs::{FaultSchedule, FaultVfs, Vfs};
 use nncell_core::{
-    linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryEngine, Strategy as BuildStrategy,
+    linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryEngine, ShardedIndex,
+    Strategy as BuildStrategy,
 };
 use nncell_geom::{Euclidean, Point};
 use proptest::prelude::*;
@@ -87,12 +90,17 @@ proptest! {
         let mut reference = NnCellIndex::<Euclidean>::new(DIM, cfg());
         let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(FaultSchedule::none(41)));
         let dir = Path::new("/db");
-        let mut durable =
-            NnCellIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, cfg()).unwrap();
+        let durable =
+            ShardedIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, 1, cfg()).unwrap();
 
         let mut next = 0usize; // lattice cursor == next id to assign
         let mut last_inserted: Option<usize> = None;
-        for op in &ops {
+        for (i, op) in ops.iter().enumerate() {
+            // Fold now and then: recovery must not care which acked
+            // writes reached the cells before the crash.
+            if i % 7 == 6 {
+                durable.flush().unwrap();
+            }
             match op {
                 Op::Insert => {
                     let p = lattice_point(next);
@@ -144,7 +152,8 @@ proptest! {
         // Crash: drop without checkpoint, recover from WAL replay alone.
         drop(durable);
         let recovered =
-            NnCellIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, cfg()).unwrap();
+            ShardedIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, 1, cfg()).unwrap();
+        let recovered = recovered.shard(0);
 
         // Slot-exact state equality.
         prop_assert_eq!(recovered.points().len(), reference.points().len());
@@ -173,7 +182,7 @@ proptest! {
             .collect();
         for q in &queries {
             let q: Vec<f64> = q.iter().map(|&v| v as f64 / 100.0).collect();
-            let got = QueryEngine::sequential(recovered.index())
+            let got = QueryEngine::sequential(&recovered)
                 .execute(&Query::nn(q.clone()))
                 .ok()
                 .map(|r| r.best);

@@ -124,7 +124,7 @@ fn wal_append_joins_the_write_trace() {
     const TRACE: u128 = 0x7e57_0003;
     let dir = std::env::temp_dir().join(format!("nncell-trace-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut d = NnCellIndex::open_durable(&dir, 2, cfg()).unwrap();
+    let d = ShardedIndex::open_durable(&dir, 2, 1, cfg()).unwrap();
 
     {
         let _root = forced_root(TRACE);

@@ -27,7 +27,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use nncell_core::{
-    DurableError, DurableIndex, NnCellIndex, PersistError, Query, QueryEngine, QueryError,
+    DurableError, NnCellIndex, PersistError, Query, QueryEngine, QueryError,
     QueryResponse, Registry, ShardedIndex, SlowQueryLog, SLOW_QUERY_CAPACITY,
 };
 use nncell_geom::Point;
@@ -86,27 +86,23 @@ impl Default for ServerConfig {
     }
 }
 
-/// The index behind the server. Reads never block each other on any
-/// variant; writes are serialized ([`ShardedIndex`] by its single
-/// writer, [`DurableIndex`] by the wrapping mutex, and the plain
-/// variant is read-only).
+/// The index behind the server. Reads never block each other; writes
+/// go through the sharded index's single writer, and the plain variant
+/// is read-only.
 pub enum ServeIndex {
-    /// Sharded (optionally durable) index: lock-free snapshot reads,
-    /// single-writer updates — the intended serving configuration.
-    Sharded(ShardedIndex),
-    /// A single durable index. Queries and writes share one mutex, so
-    /// reads serialize; fine for light traffic, use shards otherwise.
-    Durable(Mutex<DurableIndex>),
+    /// Sharded (optionally durable) index: snapshot reads, single-writer
+    /// updates through the journaled memtable tail, and a supervised
+    /// background folder — the one write path.
+    Sharded(Box<ShardedIndex>),
     /// An in-memory index served read-only (`/insert` and `/remove`
     /// answer `403 read_only`).
-    Plain(NnCellIndex),
+    Plain(Box<NnCellIndex>),
 }
 
 impl ServeIndex {
     fn dim(&self) -> usize {
         match self {
             ServeIndex::Sharded(s) => s.dim(),
-            ServeIndex::Durable(m) => lock(m).index().dim(),
             ServeIndex::Plain(i) => i.dim(),
         }
     }
@@ -114,7 +110,6 @@ impl ServeIndex {
     fn len(&self) -> usize {
         match self {
             ServeIndex::Sharded(s) => s.len(),
-            ServeIndex::Durable(m) => lock(m).index().len(),
             ServeIndex::Plain(i) => i.len(),
         }
     }
@@ -125,10 +120,6 @@ impl ServeIndex {
     fn query(&self, q: Query, deadline: Instant) -> Result<QueryResponse, QueryError> {
         match self {
             ServeIndex::Sharded(s) => s.query_with_deadline(&q, Some(deadline)),
-            ServeIndex::Durable(m) => {
-                let g = lock(m);
-                QueryEngine::sequential(g.index()).execute(&q.with_deadline(deadline))
-            }
             ServeIndex::Plain(i) => {
                 QueryEngine::sequential(i).execute(&q.with_deadline(deadline))
             }
@@ -142,14 +133,6 @@ impl ServeIndex {
     ) -> Vec<Result<QueryResponse, QueryError>> {
         match self {
             ServeIndex::Sharded(s) => s.batch_with_deadline(&queries, Some(deadline)),
-            ServeIndex::Durable(m) => {
-                let g = lock(m);
-                let engine = QueryEngine::sequential(g.index());
-                queries
-                    .into_iter()
-                    .map(|q| engine.execute(&q.with_deadline(deadline)))
-                    .collect()
-            }
             ServeIndex::Plain(i) => {
                 let engine = QueryEngine::sequential(i);
                 queries
@@ -163,7 +146,6 @@ impl ServeIndex {
     fn insert(&self, p: Point) -> Result<usize, WriteError> {
         match self {
             ServeIndex::Sharded(s) => s.insert(p).map_err(WriteError::Durable),
-            ServeIndex::Durable(m) => lock(m).insert(p).map_err(WriteError::Durable),
             ServeIndex::Plain(_) => Err(WriteError::ReadOnly),
         }
     }
@@ -171,13 +153,12 @@ impl ServeIndex {
     fn remove(&self, id: usize) -> Result<bool, WriteError> {
         match self {
             ServeIndex::Sharded(s) => s.remove(id).map_err(WriteError::Durable),
-            ServeIndex::Durable(m) => lock(m).remove(id).map_err(WriteError::Persist),
             ServeIndex::Plain(_) => Err(WriteError::ReadOnly),
         }
     }
 
     /// The clean-shutdown checkpoint: rotate every WAL so a subsequent
-    /// open replays nothing. No-op for in-memory variants. A sharded
+    /// open replays nothing. No-op for in-memory variants. The sharded
     /// index folds its memtable tail first (best-effort — the tail-aware
     /// checkpoint re-journals whatever a broken folder left behind).
     fn final_checkpoint(&self) -> Result<(), PersistError> {
@@ -186,7 +167,6 @@ impl ServeIndex {
                 let _ = s.flush();
                 s.checkpoint()
             }
-            ServeIndex::Durable(m) => lock(m).checkpoint(),
             ServeIndex::Plain(_) => Ok(()),
         }
     }
@@ -195,7 +175,6 @@ impl ServeIndex {
 enum WriteError {
     ReadOnly,
     Durable(DurableError),
-    Persist(PersistError),
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -452,12 +431,12 @@ impl Server {
                 })
                 .map_err(PersistError::Io)?;
         }
-        // Supervised folder for a memtable-enabled sharded index: folds
-        // the tail into NN-cells off the write path until the drain flag
-        // (doubling as its stop signal) is set. Panics inside a fold are
-        // caught by fold_once itself; the loop only paces retries.
+        // Supervised folder for a sharded index: folds the tail into
+        // NN-cells off the write path until the drain flag (doubling as
+        // its stop signal) is set. Panics inside a fold are caught by
+        // fold_once itself; the loop only paces retries.
         let folder = match &shared.index {
-            ServeIndex::Sharded(s) if s.memtable_enabled() => {
+            ServeIndex::Sharded(_) => {
                 let s = Arc::clone(&shared);
                 Some(
                     std::thread::Builder::new()
@@ -470,7 +449,7 @@ impl Server {
                         .map_err(PersistError::Io)?,
                 )
             }
-            _ => None,
+            ServeIndex::Plain(_) => None,
         };
         shared.ready.store(true, Ordering::SeqCst);
 
@@ -960,7 +939,7 @@ fn write_error_reply(shared: &Arc<Shared>, route: &'static str, e: WriteError) -
                 .push(format!("Retry-After: {}", shared.cfg.retry_after_secs));
             r
         }
-        WriteError::Durable(DurableError::Persist(e)) | WriteError::Persist(e) => {
+        WriteError::Durable(DurableError::Persist(e)) => {
             error_reply(500, route, &e.to_string())
         }
     }

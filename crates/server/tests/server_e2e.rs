@@ -81,7 +81,7 @@ fn sharded_index(n: usize, dim: usize) -> (ShardedIndex, Vec<Point>) {
 fn query_round_trip_matches_in_process_engine() {
     let (idx, pts) = sharded_index(60, 3);
     let reference = ShardedIndex::build(pts, 2, cfg()).expect("build");
-    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(idx));
+    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(Box::new(idx)));
     let client = srv.client();
 
     for (qi, q) in points(20, 3, 0xabcd).iter().enumerate() {
@@ -124,7 +124,7 @@ fn query_round_trip_matches_in_process_engine() {
 #[test]
 fn writes_are_visible_and_read_only_mode_refuses() {
     let (idx, _) = sharded_index(30, 2);
-    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(idx));
+    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(Box::new(idx)));
     let client = srv.client();
 
     let r = client
@@ -154,7 +154,7 @@ fn writes_are_visible_and_read_only_mode_refuses() {
 
     // Plain in-memory index: read-only serving.
     let plain = NnCellIndex::build(points(20, 2, 3), cfg()).expect("build");
-    let srv = spawn(ServerConfig::default(), ServeIndex::Plain(plain));
+    let srv = spawn(ServerConfig::default(), ServeIndex::Plain(Box::new(plain)));
     let client = srv.client();
     let r = client.post("/insert", "{\"point\":[0.5,0.5]}").expect("insert");
     assert_eq!(r.status, 403, "{}", r.text());
@@ -167,7 +167,7 @@ fn writes_are_visible_and_read_only_mode_refuses() {
 #[test]
 fn batch_mixes_successes_and_errors() {
     let (idx, _) = sharded_index(40, 2);
-    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(idx));
+    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(Box::new(idx)));
     let client = srv.client();
     let r = client
         .post(
@@ -188,7 +188,7 @@ fn batch_mixes_successes_and_errors() {
 #[test]
 fn protocol_errors_are_typed() {
     let (idx, _) = sharded_index(20, 2);
-    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(idx));
+    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(Box::new(idx)));
     let client = srv.client();
 
     let r = client.get("/nope").expect("404");
@@ -213,7 +213,7 @@ fn protocol_errors_are_typed() {
 #[test]
 fn health_ready_and_metrics_exposition() {
     let (idx, _) = sharded_index(20, 2);
-    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(idx));
+    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(Box::new(idx)));
     let client = srv.client();
 
     assert_eq!(client.get("/healthz").expect("healthz").status, 200);
@@ -249,7 +249,7 @@ fn overload_sheds_with_retry_after_and_retry_client_recovers() {
             chaos: true,
             ..ServerConfig::default()
         },
-        ServeIndex::Sharded(idx),
+        ServeIndex::Sharded(Box::new(idx)),
     );
     let addr = srv.addr.clone();
 
@@ -306,7 +306,7 @@ fn stale_queued_requests_answer_deadline_exceeded() {
             deadline: Duration::from_millis(50),
             ..ServerConfig::default()
         },
-        ServeIndex::Sharded(idx),
+        ServeIndex::Sharded(Box::new(idx)),
     );
     let addr = srv.addr.clone();
 
@@ -345,7 +345,7 @@ fn panic_is_isolated_to_the_request() {
             chaos: true,
             ..ServerConfig::default()
         },
-        ServeIndex::Sharded(idx),
+        ServeIndex::Sharded(Box::new(idx)),
     );
     let client = srv.client();
 
@@ -378,7 +378,7 @@ fn graceful_drain_finishes_inflight_and_checkpoints() {
             chaos: true,
             ..ServerConfig::default()
         },
-        ServeIndex::Sharded(idx),
+        ServeIndex::Sharded(Box::new(idx)),
     );
     let addr = srv.addr.clone();
     let client = srv.client();
@@ -425,7 +425,7 @@ fn slow_request_ring_captures_over_threshold_requests() {
             slow_ms: 0, // record everything
             ..ServerConfig::default()
         },
-        ServeIndex::Sharded(idx),
+        ServeIndex::Sharded(Box::new(idx)),
     );
     let client = srv.client();
     client.post("/query", "{\"point\":[0.25,0.75],\"k\":2}").expect("query");

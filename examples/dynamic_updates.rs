@@ -8,7 +8,7 @@
 //! cargo run --release --example dynamic_updates
 //! ```
 
-use nncell::core::{linear_scan_nn, BuildConfig, DurableIndex, NnCellIndex, Query, Strategy};
+use nncell::core::{linear_scan_nn, BuildConfig, NnCellIndex, Query, ShardedIndex, Strategy};
 use nncell::data::{ClusteredGenerator, Generator, UniformGenerator};
 use nncell::geom::Point;
 
@@ -70,52 +70,67 @@ fn main() {
         bs.lp.lp_calls, bs.lp.constraints
     );
 
-    // ---- Durability: the same updates, journaled, survive a crash. ----
+    // ---- Durability: journaled updates survive a crash. ----
     //
-    // Hand the built index to a WAL-backed directory, apply more updates
-    // (each fsynced to the journal before it is acknowledged), then
-    // simulate a crash by dropping the handle WITHOUT a checkpoint or
-    // close. Reopening replays the journal and every query answer is
-    // unchanged.
+    // A durable index journals every write to its WAL (fsynced before the
+    // ack) and parks it in a small memtable tail; a folder later applies
+    // the tail to the cells. Build one over the survivors, apply more
+    // updates — folding only some of them — then simulate a crash by
+    // dropping the handle WITHOUT a checkpoint or close. Reopening replays
+    // the journal and every query answer is unchanged.
     let dir = std::env::temp_dir().join(format!("nncell_dynamic_wal_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     println!("\nopening WAL-backed index at {} ...", dir.display());
-    let mut durable = DurableIndex::create(&dir, index).expect("create durable dir");
+    let durable = ShardedIndex::build(
+        survivors.clone(),
+        1,
+        BuildConfig::builder().strategy(Strategy::Sphere).seed(5).build(),
+    )
+    .expect("build")
+    .into_durable(&dir)
+    .expect("create durable dir");
 
     let late_arrivals = UniformGenerator::new(dim).generate(40, 13);
-    let first_new_id = durable.points().len();
-    for p in &late_arrivals {
+    let first_new_id = survivors.len();
+    for (i, p) in late_arrivals.iter().enumerate() {
         durable.insert(p.clone()).expect("journaled insert");
+        if i == late_arrivals.len() / 2 {
+            durable.flush().expect("fold the tail into the cells");
+        }
     }
     assert!(durable.remove(first_new_id).expect("journaled remove"));
-    let expected: Vec<(usize, Option<Point>)> = (0..durable.points().len())
-        .map(|i| (i, durable.is_live(i).then(|| durable.points()[i].clone())))
-        .collect();
+    let mut expected: Vec<Option<Point>> = survivors.into_iter().map(Some).collect();
+    expected.extend(late_arrivals.iter().cloned().map(Some));
+    expected[first_new_id] = None;
     let expected_answers: Vec<Option<usize>> = queries
         .iter()
         .map(|q| durable.query(&Query::nn(q.clone())).ok().map(|r| r.best.id))
         .collect();
     println!(
-        "journaled {} updates ({} records pending replay) — crashing without checkpoint",
+        "journaled {} updates ({} records pending replay, {} still unfolded) — \
+         crashing without checkpoint",
         late_arrivals.len() + 1,
-        durable.wal_records()
+        durable.wal_records(),
+        durable.tail_depth()
     );
     drop(durable); // the crash: no checkpoint, no close
 
-    let recovered = DurableIndex::open(&dir).expect("recover");
+    let recovered = ShardedIndex::open_durable_existing(&dir).expect("recover");
+    let report = &recovered.recovery()[0];
     println!(
         "recovered generation {}: {} records replayed, {} live points",
-        recovered.recovery().generation,
-        recovered.recovery().replayed,
+        report.generation,
+        report.replayed,
         recovered.len()
     );
-    for (i, slot) in &expected {
+    let shard = recovered.shard(0);
+    for (i, slot) in expected.iter().enumerate() {
         match slot {
             Some(p) => assert!(
-                recovered.is_live(*i) && recovered.points()[*i].as_slice() == p.as_slice(),
+                shard.is_live(i) && shard.points()[i].as_slice() == p.as_slice(),
                 "point #{i} lost in the crash"
             ),
-            None => assert!(!recovered.is_live(*i), "removed point #{i} resurrected"),
+            None => assert!(!shard.is_live(i), "removed point #{i} resurrected"),
         }
     }
     for (q, want) in queries.iter().zip(&expected_answers) {

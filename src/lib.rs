@@ -57,10 +57,11 @@
 //! ([`geom::WeightedEuclidean`]).
 //!
 //! Dynamic indexes can also run **crash-consistently**:
-//! [`core::NnCellIndex::open_durable`] journals every update to a
-//! write-ahead log (fsynced before acknowledgement) and rotates snapshots
-//! atomically, so acknowledged updates survive `kill -9` — see
-//! `DESIGN.md` §9 and `tests/crash_recovery.rs`.
+//! [`core::ShardedIndex::open_durable`] journals every update to a
+//! write-ahead log (fsynced before acknowledgement), acknowledges it from
+//! a memtable tail that a background folder applies to the cells, and
+//! rotates snapshots atomically, so acknowledged updates survive
+//! `kill -9` — see `DESIGN.md` §9 and `tests/crash_recovery.rs`.
 //!
 //! The stack is observable end to end:
 //! [`core::NnCellIndex::attach_metrics`] wires query latency histograms,

@@ -7,7 +7,9 @@
 //! times, crashing at syscall `k` for every `k < T`; each crashed file
 //! system is materialized into its post-crash survivor (unsynced bytes
 //! torn to a seeded prefix, unsynced directory entries gone) and recovered
-//! with [`NnCellIndex::open_durable_with_vfs`]. The recovered index must
+//! with [`ShardedIndex::open_durable_with_vfs`]. Every write of the
+//! workload takes the one write path — journal, memtable tail, ack — with
+//! folds interleaved deterministically. The recovered index must
 //!
 //! 1. open without error or panic,
 //! 2. hold exactly the state after some *prefix* of the workload — at
@@ -17,6 +19,10 @@
 //! 3. answer every probe query identically to a linear scan over its own
 //!    live points (Lemma 1 exactness survives recovery).
 //!
+//! The sweeps cover one shard (the layout's directory initialization,
+//! plain and with the pooled build), two shards with every write left in
+//! the tail until shutdown, and three shards.
+//!
 //! The fault schedule seed is fixed for reproducibility and overridable
 //! via `NNCELL_FAULT_SEED` (ci.sh pins it; set it locally to explore other
 //! tear patterns).
@@ -24,10 +30,10 @@
 use nncell::core::durable::DurableError;
 use nncell::core::vfs::{FaultSchedule, FaultVfs, Vfs};
 use nncell::core::{
-    linear_scan_nn, BuildConfig, ConstraintPool, FoldConfig, NnCellIndex, Query, QueryEngine,
-    ShardedIndex, Strategy,
+    linear_scan_nn, BuildConfig, ConstraintPool, FoldConfig, NnCellIndex, Query, ShardedIndex,
+    Strategy,
 };
-use nncell::geom::{Euclidean, Point};
+use nncell::geom::Point;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
@@ -87,9 +93,10 @@ fn workload(seed: u64, len: usize) -> Vec<Op> {
 }
 
 /// Logical index states after each op prefix: slot `i` of a state is the
-/// point with id `i`, `None` once removed. Mirrors `DurableIndex`
-/// semantics exactly (ids are assigned by insertion order; removes of
-/// non-live ids are no-ops; checkpoints change nothing).
+/// point with global id `i`, `None` once removed. Mirrors
+/// [`ShardedIndex`] semantics exactly (ids are assigned by insertion
+/// order; removes of non-live ids are no-ops; checkpoints change
+/// nothing).
 fn model_states(ops: &[Op]) -> Vec<Vec<Option<Point>>> {
     let mut state: Vec<Option<Point>> = Vec::new();
     let mut states = vec![state.clone()];
@@ -108,48 +115,147 @@ fn model_states(ops: &[Op]) -> Vec<Vec<Option<Point>>> {
     states
 }
 
-/// Runs the workload until completion or the first crash-induced error;
-/// returns how many ops were acknowledged (`Ok`). The final `close` is
-/// attempted but not counted — it changes no logical state.
-fn run_workload(vfs: Arc<dyn Vfs>, dir: &Path, ops: &[Op]) -> usize {
-    run_workload_cfg(vfs, dir, ops, cfg())
+/// One sweep's shape: the index layout and build configuration, plus how
+/// often the workload folds the memtable tail (`None`: never before the
+/// final `close`, so every checkpoint re-journals the whole tail).
+#[derive(Clone, Copy)]
+struct Sweep {
+    shards: usize,
+    cfg: fn() -> BuildConfig,
+    fold_every: Option<usize>,
 }
 
-/// [`run_workload`] with an explicit build configuration (the pooled
-/// sweep reuses the whole harness with a pooled config).
-fn run_workload_cfg(vfs: Arc<dyn Vfs>, dir: &Path, ops: &[Op], cfg: BuildConfig) -> usize {
-    let mut d = match NnCellIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, cfg) {
-        Ok(d) => d,
-        Err(_) => return 0,
-    };
-    let mut acked = 0usize;
-    for op in ops {
-        let ok = match op {
-            Op::Insert(p) => match d.insert(p.clone()) {
-                Ok(_) => true,
-                Err(DurableError::Invalid(e)) => {
-                    panic!("workload points are valid by construction: {e}")
-                }
-                Err(DurableError::Backpressure { .. }) => {
-                    panic!("no memtable configured — backpressure is impossible")
-                }
-                Err(DurableError::Persist(_)) => false,
-            },
-            Op::Remove(id) => d.remove(*id).is_ok(),
-            Op::Checkpoint => d.checkpoint().is_ok(),
-        };
-        if !ok {
-            return acked;
-        }
-        acked += 1;
+impl Sweep {
+    fn open(&self, vfs: Arc<dyn Vfs>, dir: &Path) -> Result<ShardedIndex, nncell::core::PersistError> {
+        ShardedIndex::open_durable_with_vfs(vfs, dir, DIM, self.shards, (self.cfg)())
     }
-    let _ = d.close();
-    acked
+
+    /// Runs the workload until completion or the first crash-induced
+    /// error; returns how many ops were acknowledged (`Ok`). The final
+    /// `close` is attempted but not counted — it changes no logical
+    /// state. Folding is asserted to make **zero** syscalls — the property
+    /// that makes fold crash-consistency trivial: disk state never depends
+    /// on fold progress, so recovery is pure WAL replay and can neither
+    /// lose an acked write to a crashed fold nor double-apply a folded one.
+    fn run(&self, fault: &FaultVfs, dir: &Path, ops: &[Op]) -> usize {
+        let s = match self.open(Arc::new(fault.clone()), dir) {
+            Ok(s) => s.with_fold_config(FoldConfig {
+                tail_max: 1 << 20,
+                ..FoldConfig::default()
+            }),
+            Err(_) => return 0,
+        };
+        let mut acked = 0usize;
+        for (i, op) in ops.iter().enumerate() {
+            let ok = match op {
+                Op::Insert(p) => match s.insert(p.clone()) {
+                    Ok(_) => true,
+                    Err(DurableError::Invalid(e)) => {
+                        panic!("workload points are valid by construction: {e}")
+                    }
+                    Err(DurableError::Backpressure { .. }) => {
+                        panic!("tail_max is far above the workload length")
+                    }
+                    Err(DurableError::Persist(_)) => false,
+                },
+                Op::Remove(id) => s.remove(*id).is_ok(),
+                Op::Checkpoint => s.checkpoint().is_ok(),
+            };
+            if !ok {
+                return acked;
+            }
+            acked += 1;
+            if self.fold_every.is_some_and(|n| i % n == n - 1) {
+                let before = fault.ops();
+                s.fold_once().expect("no chaos configured — folds cannot fail");
+                assert_eq!(fault.ops(), before, "folding must make zero syscalls");
+            }
+        }
+        let _ = s.close();
+        acked
+    }
+
+    /// The sweep: one crash point per syscall of the whole workload.
+    fn check_every_crash_point(&self, seed: u64, dir: &str, len: usize) {
+        let dir = Path::new(dir);
+        let ops = workload(seed, len);
+        let states = model_states(&ops);
+
+        // Fault-free baseline: count syscalls, check the final state.
+        let clean = FaultVfs::new(FaultSchedule::none(seed));
+        let acked = self.run(&clean, dir, &ops);
+        assert_eq!(acked, ops.len(), "fault-free run must acknowledge every op");
+        let total_ops = clean.ops();
+        assert!(!clean.crashed());
+        assert!(
+            total_ops >= 60,
+            "workload shrank to {total_ops} syscalls — the sweep no longer proves much"
+        );
+        let reopened = self
+            .open(Arc::new(clean.survivor(FaultSchedule::none(seed))), dir)
+            .expect("clean reopen");
+        assert!(
+            states_equal(&live_slots(&reopened), &states[ops.len()]),
+            "fault-free run must end in the full-workload state"
+        );
+
+        // Crash at every syscall.
+        for k in 0..total_ops {
+            let fault = FaultVfs::new(FaultSchedule::crash_at(seed, k));
+            let acked = self.run(&fault, dir, &ops);
+            assert!(
+                fault.crashed(),
+                "crash point {k} < {total_ops} must have fired"
+            );
+
+            let survivor = fault.survivor(FaultSchedule::none(seed.wrapping_add(k)));
+            let recovered = self
+                .open(Arc::new(survivor), dir)
+                .unwrap_or_else(|e| panic!("crash point {k}: recovery failed: {e}"));
+
+            // The manifest can never claim a shard layout that does not
+            // exist on disk (manifest-last ordering): recovery reopened
+            // all S shards or it would have errored above.
+            assert_eq!(recovered.num_shards(), self.shards, "crash point {k}");
+            assert_eq!(recovered.recovery().len(), self.shards, "crash point {k}");
+
+            // Prefix consistency across the *global* id space, bit-identical
+            // points: every acked write survives (journal-before-ack), no
+            // shard resurrects a removed point from a stale generation,
+            // nothing double-applies (folds never touch disk), at most one
+            // in-flight op beyond the acks.
+            let got = live_slots(&recovered);
+            let lo = &states[acked];
+            let hi = &states[(acked + 1).min(ops.len())];
+            assert!(
+                states_equal(&got, lo) || states_equal(&got, hi),
+                "crash point {k}: recovered state matches neither the state after \
+                 the {acked} acknowledged ops nor one in-flight op beyond it\n\
+                 recovered: {} slots, expected {} or {} slots",
+                got.len(),
+                lo.len(),
+                hi.len()
+            );
+            assert_queries_exact(&recovered, &format!("crash point {k}"));
+        }
+    }
 }
 
-fn live_slots(idx: &NnCellIndex<Euclidean>) -> Vec<Option<Point>> {
-    (0..idx.points().len())
-        .map(|i| idx.is_live(i).then(|| idx.points()[i].clone()))
+/// Global live slots of a freshly opened index (its tail is empty: open
+/// replays the WAL into the cells). Inserts are strictly round-robin
+/// (global id `g` lives in shard `g % S` at local slot `g / S`), so the
+/// global view reassembles from the per-shard arrays.
+fn live_slots(idx: &ShardedIndex) -> Vec<Option<Point>> {
+    assert_eq!(idx.tail_depth(), 0, "a freshly opened index has no tail");
+    let shards = idx.num_shards();
+    let handles: Vec<_> = (0..shards).map(|i| idx.shard(i)).collect();
+    let total: usize = handles.iter().map(|h| h.points().len()).sum();
+    (0..total)
+        .map(|g| {
+            let h = &handles[g % shards];
+            let local = g / shards;
+            h.is_live(local).then(|| h.points()[local].clone())
+        })
         .collect()
 }
 
@@ -164,203 +270,8 @@ fn states_equal(a: &[Option<Point>], b: &[Option<Point>]) -> bool {
 
 /// Every recovered query must agree with a linear scan over the recovered
 /// live set — exactness is not allowed to degrade across a crash.
-fn assert_queries_exact(idx: &NnCellIndex<Euclidean>, tag: &str) {
+fn assert_queries_exact(idx: &ShardedIndex, tag: &str) {
     let live: Vec<Point> = live_slots(idx).into_iter().flatten().collect();
-    for k in 0..12 {
-        let q: Vec<f64> = (0..DIM)
-            .map(|j| ((k * 17 + j * 29) % 100) as f64 / 100.0)
-            .collect();
-        let got = QueryEngine::sequential(idx)
-            .execute(&Query::nn(q.clone()))
-            .ok()
-            .map(|r| r.best);
-        match (got, linear_scan_nn(&live, &q)) {
-            (Some(got), Some(want)) => assert!(
-                (got.dist - want.dist).abs() < 1e-9,
-                "{tag}: query {q:?} returned dist {} but scan found {}",
-                got.dist,
-                want.dist
-            ),
-            (None, None) => {}
-            (got, want) => panic!("{tag}: query {q:?} disagreement: {got:?} vs {want:?}"),
-        }
-    }
-}
-
-/// The sweep: one crash point per syscall of the whole workload.
-#[test]
-fn every_crash_point_recovers_a_prefix_consistent_index() {
-    let seed = fault_seed();
-    let dir = Path::new("/db");
-    let ops = workload(seed, 28);
-    let states = model_states(&ops);
-
-    // Fault-free baseline: count syscalls, check the final state.
-    let clean = FaultVfs::new(FaultSchedule::none(seed));
-    let acked = run_workload(Arc::new(clean.clone()), dir, &ops);
-    assert_eq!(acked, ops.len(), "fault-free run must acknowledge every op");
-    let total_ops = clean.ops();
-    assert!(!clean.crashed());
-    assert!(
-        total_ops >= 60,
-        "workload shrank to {total_ops} syscalls — the sweep no longer proves much"
-    );
-    let reopened = NnCellIndex::open_durable_with_vfs(
-        Arc::new(clean.survivor(FaultSchedule::none(seed))),
-        dir,
-        DIM,
-        cfg(),
-    )
-    .expect("clean reopen");
-    assert!(
-        states_equal(&live_slots(&reopened), &states[ops.len()]),
-        "fault-free run must end in the full-workload state"
-    );
-
-    // Crash at every syscall.
-    for k in 0..total_ops {
-        let fault = FaultVfs::new(FaultSchedule::crash_at(seed, k));
-        let acked = run_workload(Arc::new(fault.clone()), dir, &ops);
-        assert!(
-            fault.crashed(),
-            "crash point {k} < {total_ops} must have fired"
-        );
-
-        let survivor = fault.survivor(FaultSchedule::none(seed.wrapping_add(k)));
-        let recovered =
-            NnCellIndex::open_durable_with_vfs(Arc::new(survivor), dir, DIM, cfg())
-                .unwrap_or_else(|e| panic!("crash point {k}: recovery failed: {e}"));
-
-        // Prefix consistency: at least every acknowledged op, at most one
-        // unacknowledged in-flight op whose journal record hit the disk.
-        let got = live_slots(&recovered);
-        let lo = &states[acked];
-        let hi = &states[(acked + 1).min(ops.len())];
-        assert!(
-            states_equal(&got, lo) || states_equal(&got, hi),
-            "crash point {k}: recovered state matches neither the state after \
-             the {acked} acknowledged ops nor one in-flight op beyond it\n\
-             recovered: {} slots, expected {} or {} slots",
-            got.len(),
-            lo.len(),
-            hi.len()
-        );
-        assert_queries_exact(&recovered, &format!("crash point {k}"));
-    }
-}
-
-/// The same kill-at-every-syscall sweep over the **pooled** build path:
-/// every insert past the pool threshold computes its cell from an
-/// approximate-neighbor constraint pool (with the degeneracy fallback
-/// live), and incremental re-solve decides which existing cells refresh.
-/// Durability must be completely indifferent to how cells were computed —
-/// the WAL journals points, not cells.
-#[test]
-fn every_crash_point_recovers_with_pooled_build() {
-    let seed = fault_seed().wrapping_add(0x9E37_79B9);
-    let dir = Path::new("/db");
-    let ops = workload(seed, 28);
-    let states = model_states(&ops);
-
-    let clean = FaultVfs::new(FaultSchedule::none(seed));
-    let acked = run_workload_cfg(Arc::new(clean.clone()), dir, &ops, pooled_cfg());
-    assert_eq!(acked, ops.len(), "fault-free run must acknowledge every op");
-    let total_ops = clean.ops();
-    assert!(!clean.crashed());
-    let reopened = NnCellIndex::open_durable_with_vfs(
-        Arc::new(clean.survivor(FaultSchedule::none(seed))),
-        dir,
-        DIM,
-        pooled_cfg(),
-    )
-    .expect("clean reopen");
-    assert!(
-        states_equal(&live_slots(&reopened), &states[ops.len()]),
-        "fault-free pooled run must end in the full-workload state"
-    );
-
-    for k in 0..total_ops {
-        let fault = FaultVfs::new(FaultSchedule::crash_at(seed, k));
-        let acked = run_workload_cfg(Arc::new(fault.clone()), dir, &ops, pooled_cfg());
-        assert!(
-            fault.crashed(),
-            "crash point {k} < {total_ops} must have fired"
-        );
-
-        let survivor = fault.survivor(FaultSchedule::none(seed.wrapping_add(k)));
-        let recovered =
-            NnCellIndex::open_durable_with_vfs(Arc::new(survivor), dir, DIM, pooled_cfg())
-                .unwrap_or_else(|e| panic!("pooled crash point {k}: recovery failed: {e}"));
-
-        let got = live_slots(&recovered);
-        let lo = &states[acked];
-        let hi = &states[(acked + 1).min(ops.len())];
-        assert!(
-            states_equal(&got, lo) || states_equal(&got, hi),
-            "pooled crash point {k}: recovered state matches neither the state \
-             after the {acked} acknowledged ops nor one in-flight op beyond it"
-        );
-        assert_queries_exact(&recovered, &format!("pooled crash point {k}"));
-    }
-}
-
-// ---------------------------------------------------------------------
-// The same sweep over the sharded durable layout: crash points now land
-// inside per-shard WAL appends, per-shard checkpoints, and the top-level
-// "sharded S" manifest write.
-
-const SHARDS: usize = 2;
-
-/// Runs the workload against a sharded durable directory; returns acked
-/// op count (same contract as [`run_workload`]).
-fn run_sharded_workload(vfs: Arc<dyn Vfs>, dir: &Path, ops: &[Op]) -> usize {
-    let s = match ShardedIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, SHARDS, cfg()) {
-        Ok(s) => s,
-        Err(_) => return 0,
-    };
-    let mut acked = 0usize;
-    for op in ops {
-        let ok = match op {
-            Op::Insert(p) => match s.insert(p.clone()) {
-                Ok(_) => true,
-                Err(DurableError::Invalid(e)) => {
-                    panic!("workload points are valid by construction: {e}")
-                }
-                Err(DurableError::Backpressure { .. }) => {
-                    panic!("no memtable configured — backpressure is impossible")
-                }
-                Err(DurableError::Persist(_)) => false,
-            },
-            Op::Remove(id) => s.remove(*id).is_ok(),
-            Op::Checkpoint => s.checkpoint().is_ok(),
-        };
-        if !ok {
-            return acked;
-        }
-        acked += 1;
-    }
-    let _ = s.close();
-    acked
-}
-
-/// Global live slots of a sharded index. Inserts are strictly
-/// round-robin (global id `g` lives in shard `g % S` at local slot
-/// `g / S`), so the global view reassembles from the per-shard arrays.
-fn sharded_live_slots(idx: &ShardedIndex) -> Vec<Option<Point>> {
-    let shards = idx.num_shards();
-    let handles: Vec<_> = (0..shards).map(|i| idx.shard(i)).collect();
-    let total: usize = handles.iter().map(|h| h.points().len()).sum();
-    (0..total)
-        .map(|g| {
-            let h = &handles[g % shards];
-            let local = g / shards;
-            h.is_live(local).then(|| h.points()[local].clone())
-        })
-        .collect()
-}
-
-fn assert_sharded_queries_exact(idx: &ShardedIndex, tag: &str) {
-    let live: Vec<Point> = sharded_live_slots(idx).into_iter().flatten().collect();
     for k in 0..12 {
         let q: Vec<f64> = (0..DIM)
             .map(|j| ((k * 17 + j * 29) % 100) as f64 / 100.0)
@@ -379,211 +290,63 @@ fn assert_sharded_queries_exact(idx: &ShardedIndex, tag: &str) {
     }
 }
 
-/// Kill-at-every-syscall over the sharded layout (PR 5): per-shard WALs
-/// journal independently but acks still serialize through the single
-/// writer, so recovery must land on the state after the acked prefix
-/// (possibly plus one in-flight op) — crashing between one shard's WAL
-/// fsync and the manifest write must neither resurrect a shard's old
-/// generation into the global answer nor lose an acked op in another
-/// shard. Recovery opens through the same manifest-first path operators
-/// use, so a torn manifest write would fail loudly here.
+/// One shard: crash points land in the directory initialization (shard
+/// journal first, manifest last), WAL appends, tail-aware checkpoints,
+/// and around folds.
+#[test]
+fn every_crash_point_recovers_a_prefix_consistent_index() {
+    Sweep {
+        shards: 1,
+        cfg,
+        fold_every: Some(3),
+    }
+    .check_every_crash_point(fault_seed(), "/db", 28);
+}
+
+/// The same sweep over the **pooled** build path: every folded insert
+/// past the pool threshold computes its cell from an approximate-neighbor
+/// constraint pool (with the degeneracy fallback live), and incremental
+/// re-solve decides which existing cells refresh. Durability must be
+/// completely indifferent to how cells were computed — the WAL journals
+/// points, not cells.
+#[test]
+fn every_crash_point_recovers_with_pooled_build() {
+    Sweep {
+        shards: 1,
+        cfg: pooled_cfg,
+        fold_every: Some(3),
+    }
+    .check_every_crash_point(fault_seed().wrapping_add(0x9E37_79B9), "/db", 28);
+}
+
+/// Two shards, no fold before shutdown: every acked write lives only in
+/// the WAL and the tail, so each checkpoint must re-journal the whole
+/// unfolded tail into the fresh WAL before its `CURRENT` flip, and
+/// crashing between one shard's checkpoint and the next's must neither
+/// resurrect a shard's old generation into the global answer nor lose an
+/// acked op in another shard.
 #[test]
 fn every_crash_point_recovers_a_prefix_consistent_sharded_index() {
-    let seed = fault_seed().wrapping_mul(5);
-    let dir = Path::new("/sharded-db");
-    let ops = workload(seed, 18);
-    let states = model_states(&ops);
-
-    // Fault-free baseline: count syscalls, check the final state.
-    let clean = FaultVfs::new(FaultSchedule::none(seed));
-    let acked = run_sharded_workload(Arc::new(clean.clone()), dir, &ops);
-    assert_eq!(acked, ops.len(), "fault-free run must acknowledge every op");
-    let total_ops = clean.ops();
-    assert!(!clean.crashed());
-    assert!(
-        total_ops >= 60,
-        "sharded workload shrank to {total_ops} syscalls — the sweep no longer proves much"
-    );
-    let reopened = ShardedIndex::open_durable_with_vfs(
-        Arc::new(clean.survivor(FaultSchedule::none(seed))),
-        dir,
-        DIM,
-        SHARDS,
-        cfg(),
-    )
-    .expect("clean reopen");
-    assert!(
-        states_equal(&sharded_live_slots(&reopened), &states[ops.len()]),
-        "fault-free run must end in the full-workload state"
-    );
-
-    // Crash at every syscall.
-    for k in 0..total_ops {
-        let fault = FaultVfs::new(FaultSchedule::crash_at(seed, k));
-        let acked = run_sharded_workload(Arc::new(fault.clone()), dir, &ops);
-        assert!(
-            fault.crashed(),
-            "crash point {k} < {total_ops} must have fired"
-        );
-
-        let survivor = fault.survivor(FaultSchedule::none(seed.wrapping_add(k)));
-        let recovered = ShardedIndex::open_durable_with_vfs(
-            Arc::new(survivor),
-            dir,
-            DIM,
-            SHARDS,
-            cfg(),
-        )
-        .unwrap_or_else(|e| panic!("crash point {k}: sharded recovery failed: {e}"));
-
-        // The manifest can never claim a shard layout that does not
-        // exist on disk (manifest-last ordering): recovery reopened all
-        // S shards or it would have errored above.
-        assert_eq!(recovered.num_shards(), SHARDS, "crash point {k}");
-        assert_eq!(recovered.recovery().len(), SHARDS, "crash point {k}");
-
-        // Prefix consistency across the *global* id space: no shard
-        // resurrection (a removed point reappearing from a stale shard
-        // generation) and no lost acked op in any shard.
-        let got = sharded_live_slots(&recovered);
-        let lo = &states[acked];
-        let hi = &states[(acked + 1).min(ops.len())];
-        assert!(
-            states_equal(&got, lo) || states_equal(&got, hi),
-            "crash point {k}: recovered sharded state matches neither the state \
-             after the {acked} acknowledged ops nor one in-flight op beyond it\n\
-             recovered: {} slots, expected {} or {} slots",
-            got.len(),
-            lo.len(),
-            hi.len()
-        );
-        assert_sharded_queries_exact(&recovered, &format!("sharded crash point {k}"));
+    Sweep {
+        shards: 2,
+        cfg,
+        fold_every: None,
     }
+    .check_every_crash_point(fault_seed().wrapping_mul(5), "/sharded-db", 18);
 }
 
-// ---------------------------------------------------------------------
-// The sweep over the memtable write path: acks are journal-only (O(1)),
-// folds interleave with the workload, and checkpoints re-journal the
-// unfolded tail into the fresh WAL. Crash points now land inside
-// tail-aware checkpoints and around folds — the fold/checkpoint
-// interleavings of the LSM design.
-
-/// Runs the workload against a memtable-enabled sharded durable index,
-/// folding synchronously every third op (deterministic interleaving).
-/// Folding is asserted to make **zero** syscalls — the property that
-/// makes fold crash-consistency trivial: disk state never depends on
-/// fold progress, so recovery is pure WAL replay and can neither lose
-/// an acked write to a crashed fold nor double-apply a folded one.
-fn run_sharded_memtable_workload(fault: &FaultVfs, dir: &Path, ops: &[Op]) -> usize {
-    let vfs: Arc<dyn Vfs> = Arc::new(fault.clone());
-    let s = match ShardedIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, SHARDS, cfg()) {
-        Ok(s) => s,
-        Err(_) => return 0,
-    };
-    let s = s.with_memtable(FoldConfig {
-        tail_max: 1 << 20,
-        ..FoldConfig::default()
-    });
-    let mut acked = 0usize;
-    for (i, op) in ops.iter().enumerate() {
-        let ok = match op {
-            Op::Insert(p) => match s.insert(p.clone()) {
-                Ok(_) => true,
-                Err(DurableError::Invalid(e)) => {
-                    panic!("workload points are valid by construction: {e}")
-                }
-                Err(DurableError::Backpressure { .. }) => {
-                    panic!("tail_max is far above the workload length")
-                }
-                Err(DurableError::Persist(_)) => false,
-            },
-            Op::Remove(id) => s.remove(*id).is_ok(),
-            Op::Checkpoint => s.checkpoint().is_ok(),
-        };
-        if !ok {
-            return acked;
-        }
-        acked += 1;
-        if i % 3 == 2 {
-            let before = fault.ops();
-            s.fold_once().expect("no chaos configured — folds cannot fail");
-            assert_eq!(fault.ops(), before, "folding must make zero syscalls");
-        }
-    }
-    let _ = s.close();
-    acked
-}
-
-/// Kill-at-every-syscall over the memtable write path. Recovery opens
-/// the directory through the ordinary (synchronous) durable path: the
-/// WAL alone must reconstruct master + tail, whatever mix of folded and
-/// unfolded state the crash interrupted.
+/// Three shards with folds every third op: crash points land inside
+/// per-shard WAL appends, tail-aware checkpoints taken with a mix of
+/// folded and unfolded state, and the top-level "sharded S" manifest
+/// write.
 #[test]
 fn every_crash_point_recovers_the_memtable_write_path() {
-    let seed = fault_seed().wrapping_mul(11);
-    let dir = Path::new("/memtable-db");
-    let ops = workload(seed, 18);
-    let states = model_states(&ops);
-
-    // Fault-free baseline: count syscalls, check the final state.
-    let clean = FaultVfs::new(FaultSchedule::none(seed));
-    let acked = run_sharded_memtable_workload(&clean, dir, &ops);
-    assert_eq!(acked, ops.len(), "fault-free run must acknowledge every op");
-    let total_ops = clean.ops();
-    assert!(!clean.crashed());
-    assert!(
-        total_ops >= 60,
-        "memtable workload shrank to {total_ops} syscalls — the sweep no longer proves much"
-    );
-    let reopened = ShardedIndex::open_durable_with_vfs(
-        Arc::new(clean.survivor(FaultSchedule::none(seed))),
-        dir,
-        DIM,
-        SHARDS,
-        cfg(),
-    )
-    .expect("clean reopen");
-    assert!(
-        states_equal(&sharded_live_slots(&reopened), &states[ops.len()]),
-        "fault-free run must end in the full-workload state"
-    );
-
-    // Crash at every syscall.
-    for k in 0..total_ops {
-        let fault = FaultVfs::new(FaultSchedule::crash_at(seed, k));
-        let acked = run_sharded_memtable_workload(&fault, dir, &ops);
-        assert!(
-            fault.crashed(),
-            "crash point {k} < {total_ops} must have fired"
-        );
-
-        let survivor = fault.survivor(FaultSchedule::none(seed.wrapping_add(k)));
-        let recovered = ShardedIndex::open_durable_with_vfs(
-            Arc::new(survivor),
-            dir,
-            DIM,
-            SHARDS,
-            cfg(),
-        )
-        .unwrap_or_else(|e| panic!("crash point {k}: memtable recovery failed: {e}"));
-
-        // Prefix consistency, bit-identical points: every acked write
-        // survives (journal-before-ack), nothing double-applies (folds
-        // never touch disk), at most one in-flight op beyond the acks.
-        let got = sharded_live_slots(&recovered);
-        let lo = &states[acked];
-        let hi = &states[(acked + 1).min(ops.len())];
-        assert!(
-            states_equal(&got, lo) || states_equal(&got, hi),
-            "crash point {k}: recovered memtable state matches neither the state \
-             after the {acked} acknowledged ops nor one in-flight op beyond it\n\
-             recovered: {} slots, expected {} or {} slots",
-            got.len(),
-            lo.len(),
-            hi.len()
-        );
-        assert_sharded_queries_exact(&recovered, &format!("memtable crash point {k}"));
+    Sweep {
+        shards: 3,
+        cfg,
+        fold_every: Some(3),
     }
+    .check_every_crash_point(fault_seed().wrapping_mul(11), "/memtable-db", 18);
 }
 
 /// Snapshot saves are atomic under crashes too: killing `save_with_vfs` at
