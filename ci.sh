@@ -19,7 +19,7 @@ echo "== build (release) =="
 cargo build --release --workspace
 
 echo "== tests (whole workspace) =="
-# Every member crate's suite, not only the root package: the shard, pool,
+# Every member crate's suite, not only the root package: the shard, cell,
 # WAL and traversal proptests, memtable_chaos, engine_parity, alloc_free
 # and the obs trace tests guard the write path and the query plans. The
 # named steps below re-run their suites so a red run says which one.
@@ -38,7 +38,7 @@ cargo test -q -p nncell-cli --test server_e2e
 cargo test -q -p nncell-server
 
 echo "== NN-Direction one-pass gather vs brute-force oracle (proptest) =="
-# The build gathers each cell's NN-Direction rivals in one pruned tree
+# CellSet::build gathers each cell's NN-Direction rivals in one pruned tree
 # walk; this proves it finds every halfspace minimum and the exact
 # top-(8·d+1) by (d², id), for d in {1, 2, 3, 8, 16}, on lattice ties,
 # halfspace-boundary points and trees after removes.
@@ -63,10 +63,10 @@ NNCELL_N="${NNCELL_N:-8000}" NNCELL_DIM="${NNCELL_DIM:-8}" \
     cargo bench -p nncell-bench --bench query_engine
 
 echo "== decomposition ablation smoke (pieces sweep; writes BENCH_ablation_decompose.json) =="
-# Decomposition depth vs build cost vs candidates — the experiment behind
-# the cost-model default of leaving `decompose_pieces` unset. The bench
-# asserts every decomposed build answers bit-identically to the
-# undecomposed one. CI shrinks the sweep so the deepest build stays fast;
+# Decomposition depth vs cell build cost vs cell candidates — the
+# experiment behind leaving `decompose_pieces` unset. The bench asserts
+# every decomposed cell set answers bit-identically to the undecomposed
+# one. CI shrinks the sweep so the deepest build stays fast;
 # unset the overrides for the committed full sweep {1,2,4,8}.
 NNCELL_N="${NNCELL_ABLATION_N:-1000}" NNCELL_DIM="${NNCELL_ABLATION_DIM:-8}" \
     NNCELL_QUERIES="${NNCELL_ABLATION_QUERIES:-500}" \
@@ -93,29 +93,28 @@ NNCELL_N="${NNCELL_SERVER_N:-4000}" NNCELL_DIM="${NNCELL_SERVER_DIM:-8}" \
     NNCELL_SERVER_OVERLOAD_MS="${NNCELL_SERVER_OVERLOAD_MS:-800}" \
     cargo bench -p nncell-bench --bench server
 
-echo "== build-scaling bench smoke (pooled vs exhaustive construction) =="
-# Exercises the sub-quadratic pooled build path end to end (STR bulk load,
-# approximate-kNN constraint pools, degeneracy fallback) and parity-checks
-# every pooled build against a linear scan. CI runs a seconds-long smoke
-# ladder and writes the JSON to target/ so it never clobbers the committed
-# full-scale BENCH_build_scaling.json; to regenerate that file, run the
-# bench with all overrides unset (defaults: n ∈ {8k, 32k, 128k}, d=8 —
-# ~10 minutes on one core):
+echo "== build-scaling bench smoke (serving build vs NN-Direction cells) =="
+# Times the serving build (validation + one STR load of the point tree)
+# beside the offline NN-Direction CellSet::build, and parity-checks both
+# the engine and the cell query against a linear scan. CI runs a
+# seconds-long smoke ladder and writes the JSON to target/ so it never
+# clobbers the committed full-scale BENCH_build_scaling.json; to
+# regenerate that file, run the bench with all overrides unset
+# (defaults: n ∈ {8k, 32k, 128k}, d=8 — a few minutes on one core,
+# nearly all of it the cell builds):
 #   cargo bench -p nncell-bench --bench build_scaling
 NNCELL_BUILD_NS="${NNCELL_BUILD_NS:-1000,2000}" \
-    NNCELL_EXHAUSTIVE_CAP="${NNCELL_EXHAUSTIVE_CAP:-2000}" \
-    NNCELL_ALLPAIRS_NS="${NNCELL_ALLPAIRS_NS:-300,600}" \
     NNCELL_BENCH_OUT="${NNCELL_BUILD_SCALING_OUT:-$PWD/target/BENCH_build_scaling.json}" \
     cargo bench -p nncell-bench --bench build_scaling
 
 echo "== mixed read/write bench (O(1) ack vs index size; writes BENCH_mixed.json) =="
-# The LSM write-path contract, asserted by the bench itself: the
+# The LSM write-path contract, asserted by the bench itself at d=8: the
 # insert/remove ack p99 through the memtable tail must stay flat across
 # n ∈ {2k, 8k, 32k} (within 10x of the smallest size, 50 µs noise
-# floor), and tail-merged answers must be bit-identical to the folded
-# answers. Runs the full default sizes (a few minutes, dominated
-# by the 32k seed build) so the committed JSON proves the headline claim;
-# NNCELL_MIXED_NS=500,2000 gives a quick local smoke.
+# floor), the fold's records/s must stay flat by the same 10x rule, and
+# tail-merged answers must be bit-identical to the folded answers. Runs
+# the full default sizes (seconds) so the committed JSON proves the
+# headline claim; NNCELL_MIXED_NS=500,2000 gives a quick local smoke.
 cargo bench -p nncell-bench --bench mixed
 
 echo "== public API surface gate =="
@@ -204,10 +203,11 @@ else
 fi
 
 echo "== build-time regression gate (build_seconds vs committed baseline) =="
-# The pooled construction path is this repo's headline build-speed claim;
-# guard it the same way as query throughput. The fresh smoke run's
-# build_seconds may exceed the committed baseline by at most 25%. Skipped
-# when there is no committed baseline.
+# The serving build (validation + one STR load of the point tree) is what
+# every build, load and `nncell build` pays; guard it the same way as
+# query throughput. The fresh smoke run's build_seconds may exceed the
+# committed baseline by at most 25%. Skipped when there is no committed
+# baseline.
 if baseline_json=$(git show HEAD:BENCH_query_engine.json 2>/dev/null); then
     extract_build_s() { grep -o '"build_seconds": *[0-9.]*' | tr -dc '0-9.\n' | head -n1; }
     old_build=$(printf '%s' "$baseline_json" | extract_build_s)

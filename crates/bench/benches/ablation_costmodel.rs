@@ -7,8 +7,8 @@
 //! the NN-cell point query, which sidesteps the argument entirely because it
 //! never searches a neighborhood.
 
-use nncell_bench::{as_queries, env_dims, env_usize, print_table};
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{cell_index, as_queries, env_dims, env_usize, print_table};
+use nncell_core::{CellConfig, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::costmodel::{expected_access_fraction, expected_nn_distance};
 use nncell_index::{RStarTree, XTree};
@@ -30,19 +30,18 @@ fn main() {
             rstar.insert_point(p, i as u64);
             xtree.insert_point(p, i as u64);
         }
-        let nncell = NnCellIndex::build(
+        let (nncell, cells) = cell_index(
             points.clone(),
-            BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(5).build(),
-        )
-        .expect("build");
+            CellConfig::builder().strategy(Strategy::CorrectPruned).seed(5).build(),
+        );
 
         rstar.reset_stats();
         xtree.reset_stats();
-        nncell.reset_stats();
+        cells.reset_stats();
         for q in &queries {
             std::hint::black_box(rstar.nearest_neighbor(q));
             std::hint::black_box(xtree.nearest_neighbor(q));
-            std::hint::black_box(nncell_bench::nn_query(&nncell, q));
+            std::hint::black_box(cells.nn(&nncell, q));
         }
         let c_eff = rstar.config().max_leaf_entries();
         let predicted = expected_access_fraction(n, d, c_eff);
@@ -59,8 +58,8 @@ fn main() {
             frac(rstar.stats().page_reads, rstar.total_pages()),
             frac(xtree.stats().page_reads, xtree.total_pages()),
             frac(
-                nncell.cell_tree_stats().page_reads,
-                nncell.cell_tree_pages(),
+                cells.cell_tree_stats().page_reads,
+                cells.cell_tree_pages(),
             ),
         ]);
     }

@@ -6,11 +6,19 @@
 //!    overlapping) cell MBRs in an X-tree because its supernodes tolerate
 //!    unsplittable directories; the comparison quantifies that choice.
 
-use nncell_bench::{as_queries, env_usize, print_table};
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{as_queries, cell_index, env_usize, print_table};
+use nncell_core::{BuildConfig, CellConfig, CellSet, NnCellIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_geom::Mbr;
 use nncell_index::{RStarTree, SplitPolicy, Tree, TreeConfig, XTree};
+
+/// NN-Direction cells, seeded.
+fn cell_cfg() -> CellConfig {
+    CellConfig::builder()
+        .strategy(Strategy::NnDirection)
+        .seed(9)
+        .build()
+}
 
 fn main() {
     let d = 10;
@@ -24,18 +32,14 @@ fn main() {
     // --- 1. block size sweep on the NN-cell index -----------------------
     let mut rows = Vec::new();
     for block in [1024usize, 4096, 16384] {
-        let index = NnCellIndex::build(
-            points.clone(),
-            BuildConfig::builder().strategy(Strategy::NnDirection)
-                .block_size(block)
-                .seed(9).build(),
-        )
-        .expect("build");
-        index.reset_stats();
+        // The cell tree takes its block size from the index.
+        let cfg = BuildConfig::builder().block_size(block).build();
+        let index = NnCellIndex::build(points.clone(), cfg).expect("build");
+        let cells = CellSet::build(&index, cell_cfg());
         for q in &queries {
-            std::hint::black_box(nncell_bench::nn_query(&index, q).unwrap());
+            std::hint::black_box(cells.nn(&index, q).unwrap());
         }
-        let st = index.cell_tree_stats();
+        let st = cells.cell_tree_stats();
         rows.push(vec![
             format!("{} B", block),
             format!("{:.1}", st.page_reads as f64 / n_queries as f64),
@@ -51,13 +55,9 @@ fn main() {
     // --- 2. cell store: X-tree vs R*-tree -------------------------------
     // Store the same cell MBRs in both structures and run the same point
     // queries.
-    let index = NnCellIndex::build(
-        points.clone(),
-        BuildConfig::builder().strategy(Strategy::NnDirection).seed(9).build(),
-    )
-    .expect("build");
+    let (index, cell_set) = cell_index(points.clone(), cell_cfg());
     let cells: Vec<Mbr> = (0..n)
-        .map(|i| index.cell(i).unwrap().pieces[0].clone())
+        .map(|i| cell_set.cell(i).unwrap().pieces[0].clone())
         .collect();
 
     let mut rows = Vec::new();
@@ -99,15 +99,15 @@ fn main() {
         rstar.insert_point(p, i as u64);
     }
     for cache_pages in [0usize, 32, 128, 1024] {
-        index.enable_cache(cache_pages);
+        cell_set.enable_cache(cache_pages);
         rstar.enable_cache(cache_pages);
-        index.reset_stats();
+        cell_set.reset_stats();
         rstar.reset_stats();
         for q in &queries {
-            std::hint::black_box(nncell_bench::nn_query(&index, q).unwrap());
+            std::hint::black_box(cell_set.nn(&index, q).unwrap());
             std::hint::black_box(rstar.nearest_neighbor(q).unwrap());
         }
-        let (sn, sr) = (index.cell_tree_stats(), rstar.stats());
+        let (sn, sr) = (cell_set.cell_tree_stats(), rstar.stats());
         rows.push(vec![
             cache_pages.to_string(),
             format!("{:.1}", sn.page_reads as f64 / n_queries as f64),
@@ -116,7 +116,7 @@ fn main() {
             format!("{:.1}", sr.cache_hits as f64 / n_queries as f64),
         ]);
     }
-    index.enable_cache(0);
+    cell_set.enable_cache(0);
     print_table(
         "LRU cache budget vs disk reads per NN query",
         &[

@@ -8,7 +8,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use nncell_bench::{env_usize, print_table, secs, timed};
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_core::{BuildConfig, CellConfig, CellSet, NnCellIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_lp::SolverKind;
 
@@ -18,6 +18,7 @@ fn main() {
     println!("# Ablation — LP backends (d={d}, N={n}, Correct strategy: m≈N constraints/LP)");
 
     let points = UniformGenerator::new(d).generate(n, 60);
+    let index = NnCellIndex::build(points, BuildConfig::default()).expect("build");
 
     let mut rows = Vec::new();
     let mut mbrs = Vec::new();
@@ -36,14 +37,13 @@ fn main() {
             Strategy::CorrectPruned,
         ),
     ] {
-        let (index, t) = timed(|| {
-            NnCellIndex::build(
-                points.clone(),
-                BuildConfig::builder().strategy(strategy).solver(solver).seed(8).build(),
-            )
-            .expect("build")
-        });
-        let st = index.build_stats();
+        let cfg = CellConfig::builder()
+            .strategy(strategy)
+            .solver(solver)
+            .seed(8)
+            .build();
+        let (cells, t) = timed(|| CellSet::build(&index, cfg));
+        let st = cells.stats();
         rows.push(vec![
             label.to_string(),
             secs(t),
@@ -52,7 +52,7 @@ fn main() {
         ]);
         mbrs.push(
             (0..n)
-                .map(|i| index.cell(i).unwrap().pieces[0].clone())
+                .map(|i| cells.cell(i).unwrap().pieces[0].clone())
                 .collect::<Vec<_>>(),
         );
     }

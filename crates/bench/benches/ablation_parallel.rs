@@ -7,8 +7,8 @@
 //! the sequential NN-cell point query — plus the plain sequential scan both
 //! are escaping from.
 
-use nncell_bench::{as_queries, env_usize, print_table};
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{cell_index, as_queries, env_usize, print_table};
+use nncell_core::{CellConfig, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::{DeclusteredScan, LinearScan};
 
@@ -21,11 +21,10 @@ fn main() {
     let points = UniformGenerator::new(d).generate(n, 95);
     let queries = as_queries(UniformGenerator::new(d).generate(n_queries, 96));
 
-    let nncell = NnCellIndex::build(
-        points.clone(),
-        BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(11).build(),
-    )
-    .expect("build");
+    let (nncell, cells) = cell_index(
+            points.clone(),
+            CellConfig::builder().strategy(Strategy::CorrectPruned).seed(11).build(),
+        );
     let mut scan = LinearScan::new(d);
     for (i, p) in points.iter().enumerate() {
         scan.insert(p, i as u64);
@@ -59,15 +58,15 @@ fn main() {
         ]);
     }
     // NN-cell row (sequential, one disk).
-    nncell.reset_stats();
+    cells.reset_stats();
     for q in &queries {
-        std::hint::black_box(nncell_bench::nn_query(&nncell, q).unwrap());
+        std::hint::black_box(cells.nn(&nncell, q).unwrap());
     }
     rows.push(vec![
         "NN-cell point query (1 disk)".into(),
         format!(
             "{:.1}",
-            nncell.cell_tree_stats().page_reads as f64 / n_queries as f64
+            cells.cell_tree_stats().page_reads as f64 / n_queries as f64
         ),
     ]);
 

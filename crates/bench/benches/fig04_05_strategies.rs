@@ -8,8 +8,10 @@
 //! slowest and tightest; NN-Direction is the fastest and loosest; Sphere
 //! wins the quality/performance trade-off at low d, NN-Direction at high d.
 
-use nncell_bench::{as_queries, cells_of, env_dims, env_usize, print_table, secs, timed};
-use nncell_core::{average_overlap, quality_to_performance, BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{as_queries, env_dims, env_usize, print_table, secs, timed};
+use nncell_core::{
+    average_overlap, quality_to_performance, BuildConfig, CellConfig, CellSet, NnCellIndex, Strategy,
+};
 use nncell_data::{Generator, UniformGenerator};
 
 fn main() {
@@ -29,15 +31,14 @@ fn main() {
         let mut times = Vec::new();
         let mut overlaps = Vec::new();
         let mut qprs = Vec::new();
+        let index = NnCellIndex::build(points.clone(), BuildConfig::default()).expect("build");
         for strategy in strategies {
-            let (index, secs_taken) = timed(|| {
-                NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(strategy).seed(1).build())
-                    .expect("build")
-            });
-            let overlap = average_overlap(&cells_of(&index));
+            let cfg = CellConfig::builder().strategy(strategy).seed(1).build();
+            let (cells, secs_taken) = timed(|| CellSet::build(&index, cfg));
+            let overlap = average_overlap(&cells.live_cells());
             // Sanity: exact answers regardless of strategy.
             for q in queries.iter().take(10) {
-                let got = nncell_bench::nn_query(&index, q).unwrap();
+                let got = cells.nn(&index, q).unwrap();
                 let want = nncell_core::linear_scan_nn(&points, q).unwrap();
                 assert_eq!(got.id, want.id, "{strategy:?} inexact at d={d}");
             }

@@ -5,8 +5,8 @@
 //! far ahead as d grows (paper: >300% speed-up over the R\*-tree at d=16 on
 //! 100k points; we run laptop scale, same ordering expected).
 
-use nncell_bench::{as_queries, env_dims, env_usize, print_table, secs, timed};
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{cell_index, as_queries, env_dims, env_usize, print_table, secs, timed};
+use nncell_core::{CellConfig, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::{LinearScan, RStarTree, XTree};
 
@@ -25,11 +25,10 @@ fn main() {
         let points = UniformGenerator::new(d).generate(n, 7 + d as u64);
         let queries = as_queries(UniformGenerator::new(d).generate(n_queries, 99));
 
-        let nncell = NnCellIndex::build(
+        let (nncell, cells) = cell_index(
             points.clone(),
-            BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(2).build(),
-        )
-        .expect("build");
+            CellConfig::builder().strategy(Strategy::CorrectPruned).seed(2).build(),
+        );
         let mut rstar = RStarTree::for_points(d);
         let mut xtree = XTree::for_points(d);
         let mut scan = LinearScan::new(d);
@@ -42,7 +41,7 @@ fn main() {
         let (nncell_ids, t_nncell) = timed(|| {
             queries
                 .iter()
-                .map(|q| nncell_bench::nn_query(&nncell, q).unwrap().id)
+                .map(|q| cells.nn(&nncell, q).unwrap().id)
                 .collect::<Vec<_>>()
         });
         let (rstar_ids, t_rstar) = timed(|| {

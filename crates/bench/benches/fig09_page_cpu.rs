@@ -8,8 +8,8 @@
 //! depends on density (the paper ran 100k points; at laptop scale the
 //! trees' NN search is less degraded, see EXPERIMENTS.md).
 
-use nncell_bench::{as_queries, env_dims, env_usize, print_table, timed};
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{cell_index, as_queries, env_dims, env_usize, print_table, timed};
+use nncell_core::{CellConfig, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::{RStarTree, XTree};
 
@@ -25,11 +25,10 @@ fn main() {
         let points = UniformGenerator::new(d).generate(n, 70 + d as u64);
         let queries = as_queries(UniformGenerator::new(d).generate(n_queries, 71));
 
-        let nncell = NnCellIndex::build(
+        let (nncell, cells) = cell_index(
             points.clone(),
-            BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(3).build(),
-        )
-        .expect("build");
+            CellConfig::builder().strategy(Strategy::CorrectPruned).seed(3).build(),
+        );
         let mut rstar = RStarTree::for_points(d);
         let mut xtree = XTree::for_points(d);
         for (i, p) in points.iter().enumerate() {
@@ -37,13 +36,13 @@ fn main() {
             xtree.insert_point(p, i as u64);
         }
 
-        nncell.reset_stats();
+        cells.reset_stats();
         rstar.reset_stats();
         xtree.reset_stats();
         let (ids_n, t_n) = timed(|| {
             queries
                 .iter()
-                .map(|q| nncell_bench::nn_query(&nncell, q).unwrap().id)
+                .map(|q| cells.nn(&nncell, q).unwrap().id)
                 .collect::<Vec<_>>()
         });
         let (ids_r, t_r) = timed(|| {
@@ -65,7 +64,7 @@ fn main() {
         let us = |t: f64| format!("{:.1}µs", t * 1e6 / n_queries as f64);
         pages.push(vec![
             d.to_string(),
-            per(nncell.cell_tree_stats().page_reads),
+            per(cells.cell_tree_stats().page_reads),
             per(rstar.stats().page_reads),
             per(xtree.stats().page_reads),
         ]);

@@ -4,8 +4,8 @@
 //! Paper shape to reproduce: the NN-cell approach stays far below the
 //! R\*-tree and X-tree at every size and grows roughly logarithmically in N.
 
-use nncell_bench::{as_queries, env_dims, env_usize, print_table, secs, timed};
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{cell_index, as_queries, env_dims, env_usize, print_table, secs, timed};
+use nncell_core::{CellConfig, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::{RStarTree, XTree};
 
@@ -22,11 +22,10 @@ fn main() {
         let points = UniformGenerator::new(d).generate(n, 10);
         let queries = as_queries(UniformGenerator::new(d).generate(n_queries, 11));
 
-        let nncell = NnCellIndex::build(
+        let (nncell, cells) = cell_index(
             points.clone(),
-            BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(4).build(),
-        )
-        .expect("build");
+            CellConfig::builder().strategy(Strategy::CorrectPruned).seed(4).build(),
+        );
         let mut rstar = RStarTree::for_points(d);
         let mut xtree = XTree::for_points(d);
         for (i, p) in points.iter().enumerate() {
@@ -34,12 +33,12 @@ fn main() {
             xtree.insert_point(p, i as u64);
         }
 
-        nncell.reset_stats();
+        cells.reset_stats();
         rstar.reset_stats();
         xtree.reset_stats();
         let (_, t_n) = timed(|| {
             for q in &queries {
-                std::hint::black_box(nncell_bench::nn_query(&nncell, q).unwrap());
+                std::hint::black_box(cells.nn(&nncell, q).unwrap());
             }
         });
         let (_, t_r) = timed(|| {
@@ -54,7 +53,7 @@ fn main() {
         });
         time_rows.push(vec![n.to_string(), secs(t_n), secs(t_r), secs(t_x)]);
         let per = |v: u64| format!("{:.1}", v as f64 / n_queries as f64);
-        let (sn, sr, sx) = (nncell.cell_tree_stats(), rstar.stats(), xtree.stats());
+        let (sn, sr, sx) = (cells.cell_tree_stats(), rstar.stats(), xtree.stats());
         io_rows.push(vec![
             n.to_string(),
             per(sn.page_reads),

@@ -6,8 +6,8 @@
 //! page accesses and CPU time, because the clustered real data yields much
 //! tighter cell approximations.
 
-use nncell_bench::{as_queries, env_usize, print_table, secs, timed};
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{cell_index, as_queries, env_usize, print_table, secs, timed};
+use nncell_core::{CellConfig, Strategy};
 use nncell_data::{FourierGenerator, Generator};
 use nncell_index::XTree;
 
@@ -24,22 +24,21 @@ fn main() {
         let points = FourierGenerator::new(d).generate(n, 20);
         let queries = as_queries(FourierGenerator::new(d).generate(n_queries, 21));
 
-        let nncell = NnCellIndex::build(
+        let (nncell, cells) = cell_index(
             points.clone(),
-            BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(5).build(),
-        )
-        .expect("build");
+            CellConfig::builder().strategy(Strategy::CorrectPruned).seed(5).build(),
+        );
         let mut xtree = XTree::for_points(d);
         for (i, p) in points.iter().enumerate() {
             xtree.insert_point(p, i as u64);
         }
 
-        nncell.reset_stats();
+        cells.reset_stats();
         xtree.reset_stats();
         let (ids_n, t_n) = timed(|| {
             queries
                 .iter()
-                .map(|q| nncell_bench::nn_query(&nncell, q).unwrap().id)
+                .map(|q| cells.nn(&nncell, q).unwrap().id)
                 .collect::<Vec<_>>()
         });
         let (ids_x, t_x) = timed(|| {
@@ -56,7 +55,7 @@ fn main() {
                 assert!(da < 1e-9, "engines disagree beyond a tie");
             }
         }
-        let (sn, sx) = (nncell.cell_tree_stats(), xtree.stats());
+        let (sn, sx) = (cells.cell_tree_stats(), xtree.stats());
         fig11.push(vec![
             n.to_string(),
             secs(t_n),

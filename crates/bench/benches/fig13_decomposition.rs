@@ -6,8 +6,8 @@
 //! Paper shape to reproduce: a clear overlap reduction that *increases* with
 //! dimensionality.
 
-use nncell_bench::{cells_of, env_dims, env_usize, print_table};
-use nncell_core::{average_overlap, BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{env_dims, env_usize, print_table};
+use nncell_core::{average_overlap, BuildConfig, CellConfig, CellSet, NnCellIndex, Strategy};
 use nncell_data::{FourierGenerator, Generator, UniformGenerator};
 
 fn main() {
@@ -25,20 +25,12 @@ fn main() {
             } else {
                 FourierGenerator::new(d).generate(n, 131 + d as u64)
             };
-            let exact = NnCellIndex::build(
-                points.clone(),
-                BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(6).build(),
-            )
-            .expect("build exact");
-            let decomposed = NnCellIndex::build(
-                points.clone(),
-                BuildConfig::builder().strategy(Strategy::CorrectPruned)
-                    .decompose_pieces(pieces)
-                    .seed(6).build(),
-            )
-            .expect("build decomposed");
-            let o_exact = average_overlap(&cells_of(&exact));
-            let o_dec = average_overlap(&cells_of(&decomposed));
+            let index = NnCellIndex::build(points, BuildConfig::default()).expect("build");
+            let cfg = CellConfig::builder().strategy(Strategy::CorrectPruned).seed(6);
+            let exact = CellSet::build(&index, cfg.clone().build());
+            let decomposed = CellSet::build(&index, cfg.decompose_pieces(pieces).build());
+            let o_exact = average_overlap(&exact.live_cells());
+            let o_dec = average_overlap(&decomposed.live_cells());
             let gain = if o_exact > 0.0 {
                 100.0 * (o_exact - o_dec) / o_exact
             } else {

@@ -5,7 +5,7 @@
 //! benchmark warms up, then reports the median of `SAMPLES` timed batches.
 
 use nncell_bench::env_usize;
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_core::{BuildConfig, CellConfig, CellSet, NnCellIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_geom::{DataSpace, Euclidean, Mbr};
 use nncell_index::{RStarTree, XTree};
@@ -89,25 +89,27 @@ fn bench_nncell_query() {
     let d = 8;
     let points = UniformGenerator::new(d).generate(2_000, 5);
     let queries = UniformGenerator::new(d).generate(64, 6);
-    let index = NnCellIndex::build(
-        points,
-        BuildConfig::builder().strategy(Strategy::NnDirection).seed(10).build(),
-    )
-    .expect("build");
+    let cfg = CellConfig::builder()
+        .strategy(Strategy::NnDirection)
+        .seed(10)
+        .build();
+    let (index, cells) = nncell_bench::cell_index(points, cfg);
 
     let mut k = 0;
     bench("nncell_point_query_d8_n2000", 64, || {
         k = (k + 1) % queries.len();
-        nncell_bench::nn_query(&index, &queries[k]).unwrap()
+        cells.nn(&index, &queries[k]).unwrap()
     });
 }
 
 fn bench_cell_build() {
     let d = 8;
     let points = UniformGenerator::new(d).generate(300, 7);
+    let index = NnCellIndex::build(points, BuildConfig::default()).expect("build");
     for strategy in [Strategy::Sphere, Strategy::NnDirection] {
+        let cfg = CellConfig::builder().strategy(strategy).seed(11).build();
         bench(&format!("cell_index_build_d8_n300/{}", strategy.name()), 1, || {
-            NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(strategy).seed(11).build()).unwrap()
+            CellSet::build(&index, cfg.clone())
         });
     }
 }

@@ -1,31 +1,34 @@
 //! Mixed read/write throughput for the LSM-style write path, written as
 //! JSON for CI trend tracking (`BENCH_mixed.json`).
 //!
-//! The headline claim under test: every insert/remove ack goes through
+//! The headline claims under test: every insert/remove ack goes through
 //! the journaled memtable tail and does **O(1)** work — append to the
-//! tail, no cell construction, no snapshot publish — so ack latency is
-//! independent of index size.
+//! tail, no snapshot publish — so ack latency is independent of index
+//! size; and the fold that drains the tail is a point-tree insert per
+//! record, so its throughput is flat in index size too.
 //!
-//! For each database size (default n ∈ {2 000, 8 000, 32 000}; override
-//! with `NNCELL_MIXED_NS=a,b,c`):
+//! For each database size (default n ∈ {2 000, 8 000, 32 000} at d = 8;
+//! override with `NNCELL_MIXED_NS=a,b,c`):
 //!
 //! 1. build a 2-shard in-memory index once;
 //! 2. **storm**: a timed storm of mixed writes (7/8 inserts, 1/8
 //!    removes) with interleaved k-NN reads — acks land in the tail,
 //!    reads merge the tail by linear scan;
 //! 3. **exactness**: a probe set is answered with the tail still
-//!    unfolded, the tail is flushed into the cells, and the same probes
-//!    must answer *bit-identically* (Lemma 1: snapshot + tail − tombstones
+//!    unfolded, the tail is flushed into the point tree, and the same
+//!    probes must answer *bit-identically* (snapshot + tail − tombstones
 //!    is exact);
 //! 4. the bench asserts the ack p99 at the largest `n` stays within 10x
 //!    of the smallest `n` (with a 50 µs noise floor) — a generous bound
-//!    that still catches any O(n) work leaking back into the ack path.
+//!    that still catches any O(n) work leaking back into the ack path —
+//!    and, by the same 10x rule, that fold throughput (records/s) at the
+//!    largest `n` is at least a tenth of that at the smallest.
 //!
 //! Env overrides: `NNCELL_MIXED_NS`, `NNCELL_MIXED_OPS` (storm size),
 //! `NNCELL_DIM`, `NNCELL_BENCH_OUT`.
 
 use nncell_bench::{env_dims, env_usize, timed};
-use nncell_core::{BuildConfig, FoldConfig, Query, ShardedIndex, Strategy};
+use nncell_core::{BuildConfig, FoldConfig, Query, ShardedIndex};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_geom::Point;
 use std::time::Instant;
@@ -74,14 +77,10 @@ fn storm(idx: &ShardedIndex, fresh: &[Point], probes: &[Vec<f64>]) -> (f64, f64)
 fn main() {
     let sizes = env_dims("NNCELL_MIXED_NS", &[2_000, 8_000, 32_000]);
     let ops = env_usize("NNCELL_MIXED_OPS", 400);
-    let d = env_usize("NNCELL_DIM", 4);
+    let d = env_usize("NNCELL_DIM", 8);
     let out = std::env::var("NNCELL_BENCH_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_mixed.json").to_string()
     });
-    let threads = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1)
-        .min(8);
     println!("# Mixed read/write (sizes {sizes:?}, d={d}, {ops} ops/storm, {SHARDS} shards)");
 
     let probes: Vec<Vec<f64>> = UniformGenerator::new(d)
@@ -92,15 +91,14 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut memtable_p99s: Vec<(usize, f64)> = Vec::new();
+    let mut fold_rates: Vec<(usize, f64)> = Vec::new();
     for &n in &sizes {
         let seed_pts = UniformGenerator::new(d).generate(n, 7);
         // Fresh points for the storm, disjoint from the seed set
         // (coordinates are continuous uniform; duplicate rejection is a
         // non-issue at these scales).
         let fresh = UniformGenerator::new(d).generate(ops, 8 + n as u64);
-        let cfg = BuildConfig::builder().strategy(Strategy::Sphere)
-            .seed(7)
-            .threads(threads).build();
+        let cfg = BuildConfig::default();
         let (idx, build_s) = timed(|| {
             ShardedIndex::build(seed_pts, SHARDS, cfg)
                 .expect("seed build")
@@ -109,7 +107,7 @@ fn main() {
                     ..FoldConfig::default()
                 })
         });
-        println!("n={n}: built in {build_s:.1}s");
+        println!("n={n}: built in {build_s:.2}s");
 
         // No folder runs during the storm: acks append to the tail.
         let (mem_ack_p99, tail_read_p99) = storm(&idx, &fresh, &probes);
@@ -156,6 +154,7 @@ fn main() {
              fold {folded} recs @ {fold_recs:.2}/s"
         );
         memtable_p99s.push((n, mem_ack_p99));
+        fold_rates.push((n, fold_recs));
         rows.push(format!(
             "    {{\n      \"n\": {n},\n      \
              \"memtable_insert_p99_us\": {mem_ack_p99:.2},\n      \
@@ -163,7 +162,7 @@ fn main() {
              \"folded_read_p99_us\": {folded_read_p99:.2},\n      \
              \"tail_depth_at_flush\": {tail_depth},\n      \
              \"fold_records_per_s\": {fold_recs:.2},\n      \
-             \"build_seconds\": {build_s:.2}\n    }}"
+             \"build_seconds\": {build_s:.3}\n    }}"
         ));
     }
 
@@ -182,9 +181,24 @@ fn main() {
          (bound {bound:.1} µs)"
     );
 
+    // Fold throughput, the same 10x rule in the other direction: the
+    // rate at the largest size must be at least a tenth of the smallest.
+    let (_, rate_min_n) = fold_rates[0];
+    let (_, rate_max_n) = fold_rates[fold_rates.len() - 1];
+    assert!(
+        rate_max_n >= rate_min_n / 10.0,
+        "fold throughput fell with index size: {rate_max_n:.0} records/s at n={n_max} vs \
+         {rate_min_n:.0} records/s at n={n_min} — the fold is not a point-tree insert"
+    );
+    println!(
+        "fold throughput flat: {rate_min_n:.0} records/s at n={n_min} → {rate_max_n:.0} \
+         records/s at n={n_max}"
+    );
+
     let json = format!(
         "{{\n  \"dim\": {d},\n  \"shards\": {SHARDS},\n  \"ops_per_storm\": {ops},\n  \
-         \"sizes\": [\n{}\n  ],\n  \"memtable_ack_p99_flat\": true\n}}\n",
+         \"sizes\": [\n{}\n  ],\n  \"memtable_ack_p99_flat\": true,\n  \
+         \"fold_records_per_s_flat\": true\n}}\n",
         rows.join(",\n")
     );
     std::fs::write(&out, json).expect("write bench json");

@@ -30,7 +30,7 @@
 //! reported overhead to 8%.
 
 use nncell_bench::{env_usize, timed};
-use nncell_core::{BuildConfig, ConstraintPool, NnCellIndex, Query, Registry, Strategy};
+use nncell_core::{BuildConfig, NnCellIndex, Query, Registry};
 use nncell_data::{Generator, UniformGenerator};
 
 /// Runs `f` twice and keeps the faster elapsed time (the result is
@@ -58,21 +58,9 @@ fn main() {
     println!("# Query-engine throughput (N={n}, d={d}, {n_q} queries, {threads} threads)");
 
     let points = UniformGenerator::new(d).generate(n, 7);
-    let (mut index, build_s) = timed(|| {
-        NnCellIndex::build(
-            points,
-            BuildConfig::builder()
-                .strategy(Strategy::NnDirection)
-                .constraint_pool(ConstraintPool::ApproxKnn {
-                    k: ConstraintPool::recommended_k(d),
-                })
-                .seed(7)
-                .threads(threads)
-                .build(),
-        )
-        .expect("build")
-    });
-    println!("built in {build_s:.1}s ({} cells)", index.len());
+    let (mut index, build_s) =
+        timed(|| NnCellIndex::build(points, BuildConfig::default()).expect("build"));
+    println!("built in {build_s:.2}s ({} points)", index.len());
 
     let queries: Vec<Query> = UniformGenerator::new(d)
         .generate(n_q, 8)
@@ -165,7 +153,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"n\": {n},\n  \"dim\": {d},\n  \"queries\": {n_q},\n  \
-         \"threads\": {threads},\n  \"build_seconds\": {build_s:.2},\n  \
+         \"threads\": {threads},\n  \"build_seconds\": {build_s:.4},\n  \
          \"seq_qps\": {seq_qps:.2},\n  \"par_qps\": {par_qps:.2},\n  \
          \"seq_qps_metrics\": {obs_qps:.2},\n  \"metrics_overhead\": {metrics_overhead:.4},\n  \
          \"speedup\": {:.4},\n  \"mean_candidates\": {mean_cands:.4},\n  \

@@ -24,7 +24,7 @@
 //! `NNCELL_SERVER_THREADS`, `NNCELL_BENCH_OUT` for the JSON path).
 
 use nncell_bench::{env_usize, timed};
-use nncell_core::{BuildConfig, Registry, ShardedIndex, Strategy};
+use nncell_core::{BuildConfig, Registry, ShardedIndex};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_server::{Client, Server, ServerConfig, ServeIndex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -88,7 +88,7 @@ fn main() {
         .iter()
         .map(|p| query_body(p.as_slice()))
         .collect();
-    let cfg = BuildConfig::builder().strategy(Strategy::NnDirection).seed(7).build();
+    let cfg = BuildConfig::default();
     let index = ShardedIndex::build(points, 2, cfg.clone()).expect("build index");
 
     // ----- pass 1: capacity (client threads == worker threads) -------

@@ -12,7 +12,7 @@
 //! JSON path).
 
 use nncell_bench::{env_usize, timed};
-use nncell_core::{BuildConfig, Query, QueryResponse, ShardedIndex, Strategy};
+use nncell_core::{BuildConfig, Query, QueryResponse, ShardedIndex};
 use nncell_data::{Generator, UniformGenerator};
 
 fn shard_counts() -> Vec<usize> {
@@ -59,7 +59,7 @@ fn main() {
     let mut baseline: Option<Vec<Result<QueryResponse, nncell_core::QueryError>>> = None;
     let mut rows = Vec::new();
     for &s in &counts {
-        let cfg = BuildConfig::builder().strategy(Strategy::NnDirection).seed(7).build();
+        let cfg = BuildConfig::default();
         let (index, build_s) = timed(|| {
             ShardedIndex::build(points.clone(), s, cfg).expect("sharded build")
         });

@@ -1,6 +1,6 @@
-//! Phase breakdown of the pooled build at a few sizes — the quick
-//! diagnostic for "where did the build time go" (constraint gathering,
-//! LP solves, decomposition, or tree packing). This is the tool that
+//! Phase breakdown of the NN-Direction cell build at a few sizes — the
+//! quick diagnostic for "where did the build time go" (constraint
+//! gathering, LP solves, decomposition, or tree packing). This is the tool that
 //! caught the cell tree's super-linear per-piece insert phase; keep it
 //! around for the next scaling cliff.
 //!
@@ -8,7 +8,7 @@
 //! cargo run --release -p nncell-bench --example profile_build
 //! ```
 
-use nncell_core::{BuildConfig, ConstraintPool, NnCellIndex, Strategy};
+use nncell_core::{BuildConfig, CellConfig, CellSet, NnCellIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use std::time::Instant;
 
@@ -16,17 +16,15 @@ fn main() {
     let d = 8;
     for n in [8_000usize, 16_000, 32_000] {
         let pts = UniformGenerator::new(d).generate(n, 7);
-        let cfg = BuildConfig::builder()
+        let cfg = CellConfig::builder()
             .strategy(Strategy::NnDirection)
-            .constraint_pool(ConstraintPool::ApproxKnn {
-                k: ConstraintPool::recommended_k(d),
-            })
             .seed(7)
             .build();
+        let idx = NnCellIndex::build(pts, BuildConfig::default()).expect("build");
         let t0 = Instant::now();
-        let idx = NnCellIndex::build(pts, cfg).expect("build");
+        let cells = CellSet::build(&idx, cfg);
         let total = t0.elapsed().as_secs_f64();
-        let p = &idx.build_stats().profile;
+        let p = &cells.stats().profile;
         println!(
             "n={n}: total {total:.2}s | constraint {:.2}s | lp {:.2}s | decomp {:.2}s | \
              tree packing {:.2}s",

@@ -8,18 +8,9 @@
 //! Results are printed as aligned tables — the same rows/series the paper
 //! plots — and recorded in `EXPERIMENTS.md`.
 
-use nncell_core::{CellApprox, NnCellIndex, Query, QueryEngine, QueryResult};
-use nncell_geom::{Metric, Point};
+use nncell_core::{BuildConfig, CellConfig, CellSet, NnCellIndex};
+use nncell_geom::Point;
 use std::time::Instant;
-
-/// One NN query through the typed engine, with the `Option` shape the
-/// removed convenience shims had — what most figure benches need.
-pub fn nn_query<M: Metric>(index: &NnCellIndex<M>, q: &[f64]) -> Option<QueryResult> {
-    QueryEngine::sequential(index)
-        .execute(&Query::nn(q))
-        .ok()
-        .map(|r| r.best)
-}
 
 /// Reads a `usize` environment override.
 pub fn env_usize(name: &str, default: usize) -> usize {
@@ -49,11 +40,12 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (r, t.elapsed().as_secs_f64())
 }
 
-/// Collects the live cell approximations of an index.
-pub fn cells_of<M: Metric>(index: &NnCellIndex<M>) -> Vec<CellApprox> {
-    (0..index.points().len())
-        .filter_map(|i| index.cell(i).cloned())
-        .collect()
+/// An index over `points` and its NN-cells built under `cfg` — what the
+/// figure benches measure.
+pub fn cell_index(points: Vec<Point>, cfg: CellConfig) -> (NnCellIndex, CellSet) {
+    let index = NnCellIndex::build(points, BuildConfig::default()).expect("valid bench points");
+    let cells = CellSet::build(&index, cfg);
+    (index, cells)
 }
 
 /// Converts points into raw query vectors.

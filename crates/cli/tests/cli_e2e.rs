@@ -29,7 +29,28 @@ fn generate_build_query_info_bench_pipeline() {
         .output()
         .expect("spawn build");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("built 200 cells"));
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(stdout.contains("built index of 200 points"), "{stdout}");
+    // `--strategy` is validated, then ignored with a note; the build
+    // profile keeps its line format, with the cell phases at zero.
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--strategy is ignored"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains(
+            "build profile  : constraints 0.000s/0 cell(s), LP 0.000s, \
+             decomposition 0.000s/0, bulk load "
+        ),
+        "{stdout}"
+    );
+    let out = bin()
+        .args(["build", "--points", pts.to_str().unwrap()])
+        .args(["--strategy", "voronoi", "--out", idx.to_str().unwrap()])
+        .output()
+        .expect("spawn build");
+    assert!(!out.status.success(), "an unknown --strategy must still be refused");
 
     let out = bin()
         .args(["query", "--index", idx.to_str().unwrap()])
@@ -160,7 +181,7 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
-    // Human-readable summary: percentiles, counters, and the LP section.
+    // Human-readable summary: percentiles and counters.
     let out = bin()
         .args(["stats", "--index", idx.to_str().unwrap(), "--queries", "40"])
         .output()
@@ -169,7 +190,7 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("latency        : p50"), "{text}");
     assert!(text.contains("40 queries"), "{text}");
-    assert!(text.contains("cell tree"), "{text}");
+    assert!(text.contains("point tree"), "{text}");
 
     // --json prints the raw registry snapshot; the query counter matches
     // the workload exactly (40 issued, 0 errors).

@@ -1,4 +1,5 @@
-//! Build configuration for the NN-cell index.
+//! Configuration: [`BuildConfig`] for the serving index, [`CellConfig`]
+//! for offline NN-cell construction ([`crate::CellSet`]).
 
 use nncell_lp::{LpBudget, SolverKind};
 
@@ -21,7 +22,7 @@ pub enum Strategy {
     /// All points stored in leaf pages whose page region contains the point.
     Point,
     /// All points stored in leaf pages whose page region intersects a sphere
-    /// around the point (radius: [`BuildConfig::sphere_radius`]).
+    /// around the point (radius: [`CellConfig::sphere_radius`]).
     Sphere,
     /// The `2·d` nearest neighbors in the axis directions plus the `2·d`
     /// points with the smallest angular deviation from each axis — a
@@ -50,42 +51,6 @@ impl Strategy {
     }
 }
 
-/// Where the bisector-candidate pool for each cell comes from (the
-/// tentpole of the sub-quadratic build; ROADMAP item 1).
-///
-/// Lemma 1 makes *any* candidate subset exact for query answers — dropping
-/// constraints can only grow a cell's approximation, never shrink it below
-/// the true cell. The pool therefore only trades MBR tightness (query-time
-/// candidates) against build time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ConstraintPool {
-    /// Candidates come from the configured [`Strategy`] over the full live
-    /// point set — the pre-pool behavior, `O(N)`-ish gathering per cell.
-    #[default]
-    Exhaustive,
-    /// Candidates are the point's `k` approximate nearest neighbors, probed
-    /// from the bulk-loaded point tree (bounded best-first). Gathering is
-    /// `O(log N + k)` pages per cell; the configured [`Strategy`] is only
-    /// consulted when a cell falls back to the exhaustive pool (degenerate
-    /// or clamped LP solve — see `BuildStats::pool_fallback_cells`).
-    ApproxKnn {
-        /// Pool size. `BuildConfig::effective_pool_k` clamps it to at least
-        /// `2·d + 1` so every axis direction can find a rival.
-        k: usize,
-    },
-}
-
-
-impl ConstraintPool {
-    /// The recommended pool size for `d`-dimensional data: `4·d`, matching
-    /// the constraint count of the paper's NN-Direction strategy (whose
-    /// tightness it empirically tracks) while keeping each cell's LP
-    /// constant-size.
-    pub fn recommended_k(d: usize) -> usize {
-        (4 * d.max(1)).max(8)
-    }
-}
-
 /// What a bulk build does with an invalid input point (NaN/∞ coordinate,
 /// outside the data space, or an exact duplicate of an earlier point).
 ///
@@ -102,73 +67,33 @@ pub enum InputPolicy {
     Skip,
 }
 
-/// Configuration for [`crate::NnCellIndex::build`].
+/// Configuration for [`crate::NnCellIndex::build`]: what the serving index
+/// itself reads. NN-cell construction is configured separately, by
+/// [`CellConfig`].
 ///
 /// Construct with [`BuildConfig::builder`]:
 ///
 /// ```
-/// use nncell_core::{BuildConfig, ConstraintPool, Strategy};
+/// use nncell_core::{BuildConfig, InputPolicy};
 /// let cfg = BuildConfig::builder()
-///     .strategy(Strategy::NnDirection)
-///     .constraint_pool(ConstraintPool::ApproxKnn { k: 32 })
-///     .seed(7)
+///     .block_size(2048)
+///     .input_policy(InputPolicy::Skip)
 ///     .build();
-/// assert_eq!(cfg.pool, ConstraintPool::ApproxKnn { k: 32 });
+/// assert_eq!(cfg.block_size, 2048);
 /// ```
 #[derive(Clone, Debug)]
 pub struct BuildConfig {
-    /// Constraint-selection strategy.
-    pub strategy: Strategy,
-    /// Where each cell's bisector-candidate pool comes from. Under
-    /// [`ConstraintPool::ApproxKnn`] the strategy is bypassed for
-    /// first-attempt gathering and only governs the exhaustive fallback.
-    pub pool: ConstraintPool,
-    /// LP backend ([`SolverKind::Auto`] picks simplex for small constraint
-    /// sets, Seidel for large ones).
-    pub solver: SolverKind,
-    /// Decompose each cell into at most this many MBR pieces (section 3).
-    /// `None` / `Some(1)` disables decomposition.
-    pub decompose_pieces: Option<usize>,
-    /// Sphere-strategy radius; `None` uses the heuristic
-    /// `√d · (1/N)^(1/d)` (≈ 2× the expected NN distance of uniform data —
-    /// the paper's printed formula is garbled, see DESIGN.md §5).
-    pub sphere_radius: Option<f64>,
-    /// Simulated disk block size for both internal trees.
+    /// Simulated disk block size of the point X-tree.
     pub block_size: usize,
-    /// RNG seed (Seidel shuffles; fully deterministic builds).
-    pub seed: u64,
-    /// After a dynamic insert, recompute the cells the new point affects
-    /// (quality refinement; exactness holds either way).
-    pub refine_on_insert: bool,
-    /// Worker threads for the cell-computation phase of a bulk build (cells
-    /// are independent given the shared read-only point tree). `1` =
-    /// sequential; queries and dynamic updates are unaffected.
-    pub threads: usize,
-    /// Work budget per LP solve. The default lets each backend size its own
-    /// cap; a tiny explicit cap (even 0) is safe — exhausted solves walk the
-    /// fallback chain and terminally clamp to the data space, which keeps
-    /// queries exact (Lemma 1) at the price of fatter MBRs.
-    pub lp_budget: LpBudget,
     /// What a bulk build does with invalid input points.
     pub input_policy: InputPolicy,
 }
 
 impl Default for BuildConfig {
-    /// [`BuildConfig::builder`] defaults: NN-Direction strategy, exhaustive
-    /// pool, auto solver, no decomposition, 4 KB blocks, seed 0, refinement
-    /// on, one thread.
+    /// [`BuildConfig::builder`] defaults: 4 KB blocks, reject invalid input.
     fn default() -> Self {
         Self {
-            strategy: Strategy::NnDirection,
-            pool: ConstraintPool::Exhaustive,
-            solver: SolverKind::Auto,
-            decompose_pieces: None,
-            sphere_radius: None,
             block_size: 4096,
-            seed: 0,
-            refine_on_insert: true,
-            threads: 1,
-            lp_budget: LpBudget::DEFAULT,
             input_policy: InputPolicy::Reject,
         }
     }
@@ -179,6 +104,95 @@ impl BuildConfig {
     pub fn builder() -> BuildConfigBuilder {
         BuildConfigBuilder {
             cfg: BuildConfig::default(),
+        }
+    }
+}
+
+/// Chainable constructor for [`BuildConfig`], obtained from
+/// [`BuildConfig::builder`].
+#[derive(Clone, Debug, Default)]
+pub struct BuildConfigBuilder {
+    cfg: BuildConfig,
+}
+
+impl BuildConfigBuilder {
+    /// Overrides the simulated block size.
+    pub fn block_size(mut self, bytes: usize) -> Self {
+        self.cfg.block_size = bytes;
+        self
+    }
+
+    /// Sets the invalid-input policy for bulk builds.
+    pub fn input_policy(mut self, policy: InputPolicy) -> Self {
+        self.cfg.input_policy = policy;
+        self
+    }
+
+    /// Finishes the builder.
+    pub fn build(self) -> BuildConfig {
+        self.cfg
+    }
+}
+
+/// Configuration for [`crate::CellSet::build`]: how each point's NN-cell
+/// is approximated. The cell tree takes its block size from the index.
+///
+/// ```
+/// use nncell_core::{CellConfig, Strategy};
+/// let cfg = CellConfig::builder()
+///     .strategy(Strategy::Sphere)
+///     .decompose_pieces(4)
+///     .seed(7)
+///     .build();
+/// assert_eq!(cfg.decompose_pieces, Some(4));
+/// ```
+#[derive(Clone, Debug)]
+pub struct CellConfig {
+    /// Constraint-selection strategy.
+    pub strategy: Strategy,
+    /// LP backend ([`SolverKind::Auto`] picks simplex for small constraint
+    /// sets, Seidel for large ones).
+    pub solver: SolverKind,
+    /// Decompose each cell into at most this many MBR pieces (section 3).
+    /// `None` / `Some(1)` disables decomposition.
+    pub decompose_pieces: Option<usize>,
+    /// Sphere-strategy radius; `None` uses the heuristic
+    /// `√d · (1/N)^(1/d)` (≈ 2× the expected NN distance of uniform data —
+    /// the paper's printed formula is garbled, see DESIGN.md §5).
+    pub sphere_radius: Option<f64>,
+    /// RNG seed (Seidel shuffles; fully deterministic builds).
+    pub seed: u64,
+    /// Worker threads for the cell computations (cells are independent
+    /// given the index's read-only point tree). `1` = sequential.
+    pub threads: usize,
+    /// Work budget per LP solve. The default lets each backend size its own
+    /// cap; a tiny explicit cap (even 0) is safe — exhausted solves walk the
+    /// fallback chain and terminally clamp to the data space, which keeps
+    /// answers exact (Lemma 1) at the price of fatter MBRs.
+    pub lp_budget: LpBudget,
+}
+
+impl Default for CellConfig {
+    /// [`CellConfig::builder`] defaults: NN-Direction strategy, auto
+    /// solver, no decomposition, seed 0, one thread.
+    fn default() -> Self {
+        Self {
+            strategy: Strategy::NnDirection,
+            solver: SolverKind::Auto,
+            decompose_pieces: None,
+            sphere_radius: None,
+            seed: 0,
+            threads: 1,
+            lp_budget: LpBudget::DEFAULT,
+        }
+    }
+}
+
+impl CellConfig {
+    /// Starts a builder with the documented defaults.
+    pub fn builder() -> CellConfigBuilder {
+        CellConfigBuilder {
+            cfg: CellConfig::default(),
         }
     }
 
@@ -197,37 +211,20 @@ impl BuildConfig {
                 * (1.0 / n).powf(1.0 / d)
         })
     }
-
-    /// The effective [`ConstraintPool::ApproxKnn`] pool size for
-    /// `d`-dimensional data: the configured `k`, floored at `2·d + 1` so a
-    /// rival can bound every axis direction, and at 2 so the pool is never
-    /// empty.
-    pub fn effective_pool_k(&self, d: usize) -> usize {
-        match self.pool {
-            ConstraintPool::Exhaustive => 0,
-            ConstraintPool::ApproxKnn { k } => k.max(2 * d + 1).max(2),
-        }
-    }
 }
 
-/// Chainable constructor for [`BuildConfig`], obtained from
-/// [`BuildConfig::builder`]. Every setter mirrors a config field; `build()`
+/// Chainable constructor for [`CellConfig`], obtained from
+/// [`CellConfig::builder`]. Every setter mirrors a config field; `build()`
 /// returns the finished config.
 #[derive(Clone, Debug, Default)]
-pub struct BuildConfigBuilder {
-    cfg: BuildConfig,
+pub struct CellConfigBuilder {
+    cfg: CellConfig,
 }
 
-impl BuildConfigBuilder {
+impl CellConfigBuilder {
     /// Sets the constraint-selection strategy.
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.cfg.strategy = strategy;
-        self
-    }
-
-    /// Sets where each cell's bisector-candidate pool comes from.
-    pub fn constraint_pool(mut self, pool: ConstraintPool) -> Self {
-        self.cfg.pool = pool;
         self
     }
 
@@ -257,25 +254,13 @@ impl BuildConfigBuilder {
         self
     }
 
-    /// Overrides the simulated block size.
-    pub fn block_size(mut self, bytes: usize) -> Self {
-        self.cfg.block_size = bytes;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
         self
     }
 
-    /// Toggles refinement of affected cells on dynamic inserts.
-    pub fn refine_on_insert(mut self, yes: bool) -> Self {
-        self.cfg.refine_on_insert = yes;
-        self
-    }
-
-    /// Sets the build-phase worker-thread count.
+    /// Sets the cell-computation worker-thread count.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
@@ -298,14 +283,8 @@ impl BuildConfigBuilder {
         self
     }
 
-    /// Sets the invalid-input policy for bulk builds.
-    pub fn input_policy(mut self, policy: InputPolicy) -> Self {
-        self.cfg.input_policy = policy;
-        self
-    }
-
     /// Finishes the builder.
-    pub fn build(self) -> BuildConfig {
+    pub fn build(self) -> CellConfig {
         self.cfg
     }
 }
@@ -316,68 +295,51 @@ mod tests {
 
     #[test]
     fn builder_chain() {
-        let c = BuildConfig::builder()
+        let b = BuildConfig::builder()
+            .block_size(2048)
+            .input_policy(InputPolicy::Skip)
+            .build();
+        assert_eq!(b.block_size, 2048);
+        assert_eq!(b.input_policy, InputPolicy::Skip);
+        let c = CellConfig::builder()
             .strategy(Strategy::Sphere)
-            .constraint_pool(ConstraintPool::ApproxKnn { k: 48 })
             .solver(SolverKind::Seidel)
             .decompose_pieces(4)
             .sphere_radius(0.3)
-            .block_size(2048)
             .seed(9)
-            .refine_on_insert(false)
+            .threads(3)
             .lp_max_iterations(100)
-            .input_policy(InputPolicy::Skip)
             .build();
         assert_eq!(c.strategy, Strategy::Sphere);
-        assert_eq!(c.pool, ConstraintPool::ApproxKnn { k: 48 });
         assert_eq!(c.solver, SolverKind::Seidel);
         assert_eq!(c.decompose_pieces, Some(4));
         assert_eq!(c.sphere_radius, Some(0.3));
-        assert_eq!(c.block_size, 2048);
         assert_eq!(c.seed, 9);
-        assert!(!c.refine_on_insert);
+        assert_eq!(c.threads, 3);
         assert_eq!(c.lp_budget.max_iterations, Some(100));
-        assert_eq!(c.input_policy, InputPolicy::Skip);
     }
 
     #[test]
     fn builder_defaults() {
-        let c = BuildConfig::builder().build();
+        let b = BuildConfig::builder().build();
+        assert_eq!(b.block_size, 4096);
+        assert_eq!(b.input_policy, InputPolicy::Reject);
+        let c = CellConfig::builder().build();
         assert_eq!(c.strategy, Strategy::NnDirection);
-        assert_eq!(c.pool, ConstraintPool::Exhaustive);
-        assert_eq!(c.block_size, 4096);
         assert_eq!(c.seed, 0);
-        assert!(c.refine_on_insert);
         assert_eq!(c.threads, 1);
     }
 
     #[test]
-    fn pool_k_floors() {
-        let c = BuildConfig::builder()
-            .constraint_pool(ConstraintPool::ApproxKnn { k: 4 })
-            .build();
-        // Floored at 2·d + 1 so every axis direction can find a rival.
-        assert_eq!(c.effective_pool_k(8), 17);
-        assert_eq!(c.effective_pool_k(1), 4);
-        assert_eq!(
-            BuildConfig::builder().build().effective_pool_k(8),
-            0,
-            "exhaustive pool has no k"
-        );
-        assert_eq!(ConstraintPool::recommended_k(8), 32);
-        assert_eq!(ConstraintPool::recommended_k(1), 8);
-    }
-
-    #[test]
     fn default_radius_shrinks_with_n_and_grows_with_d() {
-        let c = BuildConfig::builder().strategy(Strategy::Sphere).build();
+        let c = CellConfig::builder().strategy(Strategy::Sphere).build();
         let r_small = c.effective_sphere_radius(100, 4);
         let r_big_n = c.effective_sphere_radius(10_000, 4);
         let r_big_d = c.effective_sphere_radius(100, 16);
         assert!(r_big_n < r_small);
         assert!(r_big_d > r_small);
         // Explicit override wins.
-        let c2 = BuildConfig::builder()
+        let c2 = CellConfig::builder()
             .strategy(Strategy::Sphere)
             .sphere_radius(0.123)
             .build();
@@ -393,6 +355,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one piece")]
     fn zero_pieces_rejected() {
-        let _ = BuildConfig::builder().decompose_pieces(0);
+        let _ = CellConfig::builder().decompose_pieces(0);
     }
 }

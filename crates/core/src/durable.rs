@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! dir/CURRENT            — ASCII generation number G; the commit pointer
-//! dir/snapshot.G.nncell  — checksummed NNCELL02 snapshot of generation G
+//! dir/snapshot.G.nncell  — checksummed NNCELL03 snapshot of generation G
 //! dir/wal.G.log          — WAL of updates on top of snapshot G
 //! ```
 //!
@@ -19,7 +19,7 @@
 //! the shard's memtable tail → acknowledge. An acknowledged update is
 //! therefore always durable; an unacknowledged one may or may not survive
 //! a crash (both outcomes are consistent). The background fold applies
-//! the tail to the cells with **zero** syscalls, so disk state never
+//! the tail to the point tree with **zero** syscalls, so disk state never
 //! depends on fold progress.
 //!
 //! **Checkpoint protocol** (`Journal::checkpoint`): write `snapshot.G+1`
@@ -33,12 +33,13 @@
 //! in which a removed point can be resurrected or an acknowledged update
 //! lost — the sweeps in `tests/crash_recovery.rs` kill the process at
 //! every syscall of a randomized workload and check exactly that, plus
-//! Lemma 1 exactness of every query against a linear scan over the
-//! recovered point set.
+//! exactness of every query against a linear scan over the recovered
+//! point set.
 //!
 //! **Recovery** (`Journal::open`): read `CURRENT`, load the snapshot it
-//! names, replay the WAL prefix (a torn or corrupt tail is dropped — it
-//! can only hold unacknowledged bytes), and, if the tail was dirty,
+//! names (the cell-bearing snapshots of earlier releases load with their
+//! cells dropped), replay the WAL prefix (a torn or corrupt tail is
+//! dropped — it can only hold unacknowledged bytes), and, if the tail was dirty,
 //! immediately rotate to a fresh generation so new appends never land
 //! after damaged bytes. Stale files from older generations or interrupted
 //! checkpoints are swept up.
@@ -389,7 +390,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{BuildConfig, Strategy};
+    use crate::config::BuildConfig;
     use crate::query::{Query, QueryError};
     use crate::scan::linear_scan_nn;
     use crate::vfs::{FaultSchedule, FaultVfs};
@@ -397,7 +398,7 @@ mod tests {
     use nncell_geom::Point;
 
     fn cfg() -> BuildConfig {
-        BuildConfig::builder().strategy(Strategy::Sphere).seed(3).build()
+        BuildConfig::default()
     }
 
     fn grid_point(i: usize) -> Point {
@@ -451,7 +452,7 @@ mod tests {
             d.insert(grid_point(i)).unwrap();
         }
         // Malformed input gets the same variants as QueryEngine::execute,
-        // whether the points sit in the tail or in the cells.
+        // whether the points sit in the tail or in the point tree.
         for folded in [false, true] {
             if folded {
                 d.flush().unwrap();
@@ -544,7 +545,7 @@ mod tests {
         d.insert(grid_point(6)).unwrap();
         assert!(d.remove(2).unwrap());
         // Two acked writes still in the tail: the checkpoint snapshots the
-        // folded cells and carries the tail into the fresh WAL.
+        // folded index and carries the tail into the fresh WAL.
         d.checkpoint().unwrap();
         assert_eq!(d.wal_records(), 2);
         drop(d);
@@ -699,6 +700,95 @@ mod tests {
         assert_eq!(d.len(), 10);
         assert!(vfs.exists(&snapshot_path(&dir, 1)), "stays in its own layout");
         assert_self_consistent(&d);
+    }
+
+    /// A two-shard directory as earlier releases wrote it: each shard's
+    /// snapshot is a cell-bearing `NNCELL02` file, with journaled writes
+    /// on top. It opens, replays every record, and serves bit-identically
+    /// to an in-memory index that took the same writes; its next
+    /// checkpoint writes the current format.
+    #[test]
+    fn cell_bearing_sharded_directory_opens_replays_and_serves() {
+        use crate::persist::legacy_file_bytes;
+        use crate::vfs::write_atomic;
+        let (vfs, dir) = mem_vfs();
+        let reference = ShardedIndex::build((0..18).map(grid_point).collect(), 2, cfg()).unwrap();
+        // Global id g lives in shard g % 2 at local id g / 2.
+        let writes = [
+            (0, WalRecord::Insert(grid_point(18))), // global 18
+            (1, WalRecord::Insert(grid_point(19))), // global 19
+            (0, WalRecord::Remove(2)),              // global 4
+            (1, WalRecord::Remove(3)),              // global 7
+        ];
+        for i in 0..2 {
+            let shard_dir = dir.join(format!("shard-{i}"));
+            let mut journal =
+                Journal::create(Arc::clone(&vfs), &shard_dir, &reference.shard(i)).unwrap();
+            let legacy = legacy_file_bytes(&reference.shard(i), true);
+            write_atomic(vfs.as_ref(), &snapshot_path(&shard_dir, 0), &legacy).unwrap();
+            for (shard, rec) in &writes {
+                if *shard == i {
+                    journal.append(rec).unwrap();
+                }
+            }
+        }
+        write_atomic(vfs.as_ref(), &dir.join("CURRENT"), b"sharded 2\n").unwrap();
+        assert_eq!(reference.insert(grid_point(18)).unwrap(), 18);
+        assert_eq!(reference.insert(grid_point(19)).unwrap(), 19);
+        assert!(reference.remove(4).unwrap() && reference.remove(7).unwrap());
+        reference.flush().unwrap();
+
+        let d = ShardedIndex::open_durable_existing_with_vfs(Arc::clone(&vfs), &dir).unwrap();
+        assert_eq!(d.num_shards(), 2);
+        assert_eq!(d.recovery().iter().map(|r| r.replayed).sum::<usize>(), 4);
+        assert_eq!(d.len(), reference.len());
+        for i in 0..2 {
+            let (got, want) = (d.shard(i), reference.shard(i));
+            assert_eq!(got.points().len(), want.points().len());
+            for id in 0..want.points().len() {
+                assert_eq!(got.is_live(id), want.is_live(id), "shard {i} liveness of {id}");
+                assert_eq!(got.points()[id].as_slice(), want.points()[id].as_slice());
+            }
+        }
+        let bits = |idx: &ShardedIndex, q: &Query| -> Vec<(usize, u64)> {
+            idx.query(q).unwrap().iter().map(|r| (r.id, r.dist.to_bits())).collect()
+        };
+        for k in 0..20 {
+            let q = vec![(k as f64 * 0.137) % 1.0, (k as f64 * 0.291) % 1.0];
+            for query in [Query::nn(q.clone()), Query::knn(q, 4)] {
+                assert_eq!(bits(&d, &query), bits(&reference, &query));
+            }
+        }
+        // New writes land; the checkpoint rewrites each snapshot in the
+        // current format, which reopens with the same state.
+        assert_eq!(d.insert(grid_point(20)).unwrap(), 20);
+        d.checkpoint().unwrap();
+        drop(d);
+        let snap = vfs.read(&snapshot_path(&dir.join("shard-0"), 1)).unwrap();
+        assert_eq!(&snap[..8], b"NNCELL03");
+        let d = ShardedIndex::open_durable_existing_with_vfs(Arc::clone(&vfs), &dir).unwrap();
+        assert_eq!(d.len(), reference.len() + 1);
+        assert_self_consistent_sharded(&d);
+    }
+
+    /// Queries of a sharded index agree with a scan over all its shards'
+    /// live points (distances; ids are global).
+    fn assert_self_consistent_sharded(idx: &ShardedIndex) {
+        let live: Vec<Point> = (0..idx.num_shards())
+            .flat_map(|i| {
+                let shard = idx.shard(i);
+                (0..shard.points().len())
+                    .filter(|&j| shard.is_live(j))
+                    .map(|j| shard.points()[j].clone())
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        for k in 0..30 {
+            let q = vec![(k as f64 * 7.3) % 1.0, (k as f64 * 3.7) % 1.0];
+            let got = idx.query(&Query::nn(q.clone())).unwrap().best;
+            let want = linear_scan_nn(&live, &q).unwrap();
+            assert_eq!(got.dist.to_bits(), want.dist.to_bits(), "q={q:?}");
+        }
     }
 
     #[test]

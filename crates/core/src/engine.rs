@@ -85,16 +85,12 @@ impl QueryScratch {
 /// A read-only, thread-safe query session over a built [`NnCellIndex`].
 ///
 /// ```
-/// use nncell_core::{BuildConfig, NnCellIndex, Query, QueryEngine, Strategy};
+/// use nncell_core::{BuildConfig, NnCellIndex, Query, QueryEngine};
 /// use nncell_geom::Point;
 /// let pts = (0..50)
 ///     .map(|i| Point::new(vec![(i as f64 + 0.5) / 50.0, ((i * 7 % 50) as f64 + 0.5) / 50.0]))
 ///     .collect();
-/// let index = NnCellIndex::build(
-///     pts,
-///     BuildConfig::builder().strategy(Strategy::Sphere).build(),
-/// )
-/// .unwrap();
+/// let index = NnCellIndex::build(pts, BuildConfig::default()).unwrap();
 /// let engine = QueryEngine::new(&index);
 /// let responses = engine.batch(&[Query::nn([0.2, 0.3]), Query::knn([0.8, 0.1], 5)]);
 /// let nn = responses[0].as_ref().unwrap();
@@ -177,8 +173,8 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// kernel is over-fetched by the tail's tombstone count, tombstoned
     /// ids are filtered out, live tail points are brought in by a
     /// deadline-aware linear scan, and the union is re-ranked by
-    /// `(distance, id)`. Exactness is the Lemma 1 covering-superset
-    /// argument — every live point is either in the index or in the tail —
+    /// `(distance, id)`. Exactness is a covering argument — every live
+    /// point is either in the index or in the tail —
     /// and the extra work is counted in [`QueryStats::tail`]. With an
     /// empty tail the plain (zero-allocation) path runs unchanged.
     pub fn with_tail(mut self, tail: &'a crate::memtable::TailSnapshot) -> Self {
@@ -572,7 +568,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         })
     }
 
-    /// Exact radius query, riding the **point** tree (not the cell tree):
+    /// Exact radius query, riding the point tree:
     /// one sphere query collects every stored point whose Euclidean
     /// distance can be within the ball, then the exact metric filter keeps
     /// `dist ≤ r`. Unlike the NN kernels this needs no covering argument

@@ -1,23 +1,27 @@
 //! The NN-cell index — the contribution of Berchtold, Ertl, Keim, Kriegel &
 //! Seidl, *"Fast Nearest Neighbor Search in High-dimensional Space"*,
-//! ICDE 1998.
+//! ICDE 1998 — and the exact nearest-neighbor service built around it.
 //!
-//! Instead of searching a point index at query time, the approach
-//! **precomputes the solution space**: every database point's first-order
-//! Voronoi cell (*NN-cell*) is approximated by its minimum bounding
-//! rectangle (computed by `2·d` linear programs over bisector halfspaces)
-//! and the rectangles are stored in an X-tree. A nearest-neighbor query is
-//! then a **point query** on that index plus a distance check over the
-//! returned candidates — and because every approximation is a *superset* of
-//! the true cell, the result is **exact** (no false dismissals; Lemmas 1 and
-//! 2 of the paper, enforced here by property tests).
+//! The paper **precomputes the solution space**: every database point's
+//! first-order Voronoi cell (*NN-cell*) is approximated by its minimum
+//! bounding rectangle (computed by `2·d` linear programs over bisector
+//! halfspaces) and the rectangles are stored in an X-tree. A
+//! nearest-neighbor query is then a **point query** on that index plus a
+//! distance check over the returned candidates — and because every
+//! approximation is a *superset* of the true cell, the result is **exact**
+//! (no false dismissals; Lemmas 1 and 2 of the paper, enforced here by
+//! property tests).
 //!
+//! * [`NnCellIndex`] — the serving index: points, liveness and a point
+//!   X-tree; build / query / insert / remove / persist. Queries walk the
+//!   point tree ([`QueryEngine`]), bit-identical to a linear scan,
+//! * [`CellSet`] — the NN-cells of one index, built offline with a
+//!   [`CellConfig`], with the paper's cell-tree query [`CellSet::nn`],
 //! * [`Strategy`] — the four constraint-selection algorithms (*Correct*,
 //!   *Point*, *Sphere*, *NN-Direction*) plus the exactness-preserving
 //!   *CorrectPruned* optimization,
 //! * [`decompose`] — the MBR decomposition of section 3 (splitting each cell
 //!   along its most oblique dimensions to cut approximation overlap),
-//! * [`NnCellIndex`] — build / query / dynamic insert & remove,
 //! * [`quality`] — the paper's overlap and quality-to-performance metrics.
 
 // Indexed loops over parallel coordinate arrays are the house style in this
@@ -28,6 +32,7 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+pub mod cells;
 pub mod config;
 pub mod decompose;
 pub mod durable;
@@ -46,14 +51,14 @@ pub mod strategy;
 pub mod vfs;
 pub mod wal;
 
-pub use config::{BuildConfig, BuildConfigBuilder, ConstraintPool, InputPolicy, Strategy};
+pub use cells::{BuildProfile, CellApprox, CellSet, CellStats, IntegrityReport, PhaseTiming};
+pub use config::{
+    BuildConfig, BuildConfigBuilder, CellConfig, CellConfigBuilder, InputPolicy, Strategy,
+};
 pub use durable::{DurableError, RecoveryReport};
 pub use engine::{QueryEngine, QueryScratch};
 pub use error::Error;
-pub use index::{
-    BuildError, BuildProfile, BuildStats, CellApprox, IntegrityReport, NnCellIndex, PhaseTiming,
-    QueryResult,
-};
+pub use index::{BuildError, BuildStats, NnCellIndex, QueryResult};
 pub use memtable::{FoldConfig, FoldError, FoldStatus, TailSnapshot};
 pub use metrics::{EngineMetrics, IndexMetrics, SLOW_QUERY_CAPACITY};
 pub use nncell_obs::{Registry, SlowQueryEntry, SlowQueryLog, Snapshot};

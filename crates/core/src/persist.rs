@@ -1,36 +1,41 @@
 //! Index persistence.
 //!
-//! The whole point of the NN-cell approach is that the expensive work — the
-//! `2·d` linear programs per point — happens once, at build time. This
-//! module saves the computed approximations in a small versioned binary
-//! format and reloads them without rerunning a single LP (the X-trees are
-//! rebuilt by insertion, which is cheap and deterministic).
+//! **Format `NNCELL03`** (current): an 8-byte magic, the payload — the
+//! dimensionality, the point tree's block size, and every point slot with
+//! its liveness flag — and a CRC32 (IEEE) trailer over everything before
+//! it. [`NnCellIndex::load`] verifies the checksum before parsing, so a
+//! bit flip anywhere in the file is a typed [`PersistError::Corrupt`] —
+//! never a panic, and never a silently wrong index. Loading STR-bulk-loads
+//! the point tree over the live points, exactly as a build does.
 //!
-//! **Format `NNCELL02`** (current): an 8-byte magic, the payload, and a
-//! CRC32 (IEEE) trailer over everything before it. [`NnCellIndex::load`]
-//! verifies the checksum before parsing, so a bit flip anywhere in the file
-//! is a typed [`PersistError::Corrupt`] — never a panic, and never a
-//! silently wrong index. **Format `NNCELL01`** (legacy, no checksum) is
-//! still readable; structural validation alone guards those files.
+//! **Formats `NNCELL02`** (checksummed) **and `NNCELL01`** (legacy, no
+//! checksum) carried each point's NN-cell pieces and the cell
+//! construction settings as well. Both still load: the checksum, the
+//! settings and the cell section are validated as before, then the cells
+//! are dropped (the serving index holds none; [`crate::CellSet::build`]
+//! recomputes them on demand).
 //!
 //! Every size field read from disk is validated against the actual number
 //! of bytes present *before* any allocation, so a corrupted count cannot
 //! trigger an out-of-memory abort either.
 //!
-//! Only the Euclidean index is persistable: a weighted metric would change
-//! the meaning of the stored cells, so it is deliberately not serialized.
+//! Only the Euclidean index is persistable: the metric is not serialized.
 
-use crate::config::{BuildConfig, Strategy};
-use crate::index::{NnCellIndex, MAX_PIECES};
+use crate::config::BuildConfig;
+use crate::index::NnCellIndex;
 use crate::vfs::{write_atomic, StdVfs, Vfs};
-use nncell_geom::{Mbr, Point};
-use nncell_lp::SolverKind;
+use nncell_geom::{Euclidean, Point};
 use std::io;
 use std::path::Path;
 
+const MAGIC_V3: &[u8; 8] = b"NNCELL03";
 const MAGIC_V2: &[u8; 8] = b"NNCELL02";
 const MAGIC_V1: &[u8; 8] = b"NNCELL01";
 
+/// The largest per-cell piece count the legacy formats could hold.
+const LEGACY_MAX_PIECES: usize = 1 << 10;
+/// The largest strategy and LP-solver tags the legacy formats wrote.
+const LEGACY_MAX_TAG: u8 = 4;
 /// Failures of [`NnCellIndex::save`] / [`NnCellIndex::load`].
 #[derive(Debug)]
 pub enum PersistError {
@@ -146,9 +151,9 @@ impl<'a> SliceReader<'a> {
     }
 }
 
-impl NnCellIndex<nncell_geom::Euclidean> {
-    /// Writes the index (points, liveness, cell pieces, configuration) to
-    /// `path` in the checksummed `NNCELL02` format.
+impl NnCellIndex<Euclidean> {
+    /// Writes the index (points, liveness, block size) to `path` in the
+    /// checksummed `NNCELL03` format.
     ///
     /// The write is **crash-safe**: the bytes go to a fsynced sibling
     /// `.tmp` file that is renamed over `path` (then the directory is
@@ -167,55 +172,26 @@ impl NnCellIndex<nncell_geom::Euclidean> {
     /// # Errors
     /// I/O failures only.
     pub fn save_with_vfs(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), PersistError> {
-        let mut bytes = Vec::with_capacity(64 + self.points().len() * (self.dim() * 8 + 8));
-        bytes.extend_from_slice(MAGIC_V2);
-        self.write_payload(&mut bytes);
+        let mut bytes = Vec::with_capacity(32 + self.points().len() * (self.dim() * 8 + 1));
+        bytes.extend_from_slice(MAGIC_V3);
+        put_u32(&mut bytes, self.dim() as u32);
+        put_u32(&mut bytes, self.config().block_size as u32);
+        put_u64(&mut bytes, self.points().len() as u64);
+        for (id, p) in self.points().iter().enumerate() {
+            bytes.push(self.is_live(id) as u8);
+            for &c in p.as_slice() {
+                put_f64(&mut bytes, c);
+            }
+        }
         let crc = crc32(&bytes[..]);
         bytes.extend_from_slice(&crc.to_le_bytes());
         write_atomic(vfs, path, &bytes)?;
         Ok(())
     }
 
-    /// Serializes everything after the magic into `out` (infallible: the
-    /// sink is a `Vec`).
-    fn write_payload(&self, out: &mut Vec<u8>) {
-        let cfg = self.config();
-        put_u32(out, self.dim() as u32);
-        out.push(strategy_tag(cfg.strategy));
-        out.push(solver_tag(cfg.solver));
-        out.push(cfg.refine_on_insert as u8);
-        out.push(0); // reserved
-        put_u32(out, cfg.decompose_pieces.unwrap_or(0) as u32);
-        put_f64(out, cfg.sphere_radius.unwrap_or(f64::NAN));
-        put_u64(out, cfg.seed);
-        put_u32(out, cfg.block_size as u32);
-
-        let points = self.points();
-        put_u64(out, points.len() as u64);
-        for (id, p) in points.iter().enumerate() {
-            out.push(self.is_live(id) as u8);
-            for &c in p.as_slice() {
-                put_f64(out, c);
-            }
-        }
-        for id in 0..points.len() {
-            let pieces: &[Mbr] = self.cell(id).map(|c| c.pieces.as_slice()).unwrap_or(&[]);
-            put_u32(out, pieces.len() as u32);
-            for m in pieces {
-                for &c in m.lo() {
-                    put_f64(out, c);
-                }
-                for &c in m.hi() {
-                    put_f64(out, c);
-                }
-            }
-        }
-    }
-
-    /// Reads an index previously written by [`Self::save`] (`NNCELL02`,
-    /// checksum-verified) or by older releases (`NNCELL01`, structural
-    /// validation only). No LP is rerun: the stored approximations are
-    /// reinserted into fresh X-trees.
+    /// Reads an index written by [`Self::save`] (`NNCELL03`) or by older
+    /// releases (`NNCELL02` checksummed, `NNCELL01` structural validation
+    /// only; their cells are validated and dropped).
     ///
     /// # Errors
     /// I/O failures, a bad magic/version, a checksum mismatch, or
@@ -234,33 +210,24 @@ impl NnCellIndex<nncell_geom::Euclidean> {
             return Err(corrupt("file too short for header"));
         }
         let magic = &bytes[..8];
-        let payload = if magic == MAGIC_V2 {
-            if bytes.len() < 12 {
-                return Err(corrupt("file too short for checksum trailer"));
-            }
-            let body = &bytes[..bytes.len() - 4];
-            let stored = u32::from_le_bytes([
-                bytes[bytes.len() - 4],
-                bytes[bytes.len() - 3],
-                bytes[bytes.len() - 2],
-                bytes[bytes.len() - 1],
-            ]);
-            let actual = crc32(body);
-            if stored != actual {
-                return Err(corrupt(format!(
-                    "checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-                )));
-            }
-            &body[8..]
+        let (payload, legacy) = if magic == MAGIC_V3 || magic == MAGIC_V2 {
+            (checksummed_payload(&bytes)?, magic == MAGIC_V2)
         } else if magic == MAGIC_V1 {
-            &bytes[8..]
+            (&bytes[8..], true)
         } else {
             return Err(corrupt(format!(
-                "bad magic {magic:?} (expected {MAGIC_V2:?} or {MAGIC_V1:?})"
+                "bad magic {magic:?} (expected {MAGIC_V3:?}, {MAGIC_V2:?} or {MAGIC_V1:?})"
             )));
         };
         let mut r = SliceReader::new(payload);
-        let idx = parse_payload(&mut r)?;
+        let idx = if legacy {
+            parse_legacy(&mut r)?
+        } else {
+            let dim = read_dim(&mut r)?;
+            let block_size = read_block_size(&mut r)?;
+            let (points, alive) = read_points(&mut r, dim)?;
+            index_from(dim, block_size, points, alive)
+        };
         if r.remaining() != 0 {
             return Err(corrupt("trailing bytes after index payload"));
         }
@@ -268,56 +235,56 @@ impl NnCellIndex<nncell_geom::Euclidean> {
     }
 }
 
-/// Parses the version-independent payload with full structural validation:
-/// every count is checked against the bytes actually present before any
-/// allocation, every float invariant is checked before any constructor that
-/// would assert.
-fn parse_payload(
-    r: &mut SliceReader<'_>,
-) -> Result<NnCellIndex<nncell_geom::Euclidean>, PersistError> {
+/// The bytes between the magic and a verified CRC32 trailer.
+fn checksummed_payload(bytes: &[u8]) -> Result<&[u8], PersistError> {
+    if bytes.len() < 12 {
+        return Err(corrupt("file too short for checksum trailer"));
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - 4);
+    let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+    let actual = crc32(body);
+    if stored != actual {
+        return Err(corrupt(format!(
+            "checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
+        )));
+    }
+    Ok(&body[8..])
+}
+
+fn index_from(
+    dim: usize,
+    block_size: usize,
+    points: Vec<Point>,
+    alive: Vec<bool>,
+) -> NnCellIndex<Euclidean> {
+    let cfg = BuildConfig::builder().block_size(block_size).build();
+    NnCellIndex::from_parts(dim, cfg, Euclidean, points, alive)
+}
+
+fn read_dim(r: &mut SliceReader<'_>) -> Result<usize, PersistError> {
     let dim = r.u32()? as usize;
     if dim == 0 || dim > 1 << 16 {
         return Err(corrupt(format!("implausible dimensionality {dim}")));
     }
-    let strategy = strategy_from_tag(r.u8()?)?;
-    let solver = solver_from_tag(r.u8()?)?;
-    let refine = r.u8()? != 0;
-    let _reserved = r.u8()?;
-    let pieces_budget = r.u32()? as usize;
-    if pieces_budget > MAX_PIECES {
-        return Err(corrupt(format!(
-            "decomposition budget {pieces_budget} exceeds the format limit {MAX_PIECES}"
-        )));
-    }
-    let radius = r.f64()?;
-    if radius.is_finite() && radius <= 0.0 {
-        return Err(corrupt(format!("non-positive sphere radius {radius}")));
-    }
-    let seed = r.u64()?;
+    Ok(dim)
+}
+
+fn read_block_size(r: &mut SliceReader<'_>) -> Result<usize, PersistError> {
     let block_size = r.u32()? as usize;
     if !(128..=1 << 26).contains(&block_size) {
         return Err(corrupt(format!("implausible block size {block_size}")));
     }
+    Ok(block_size)
+}
 
-    // The constraint pool is a build/refine-time concern and is not
-    // persisted; recovered indexes refine with the exhaustive pool.
-    let mut builder = BuildConfig::builder()
-        .strategy(strategy)
-        .solver(solver)
-        .seed(seed)
-        .block_size(block_size)
-        .refine_on_insert(refine);
-    if pieces_budget > 0 {
-        builder = builder.decompose_pieces(pieces_budget);
-    }
-    if radius.is_finite() {
-        builder = builder.sphere_radius(radius);
-    }
-    let cfg = builder.build();
-
+/// The point slots: a count, then per slot a liveness byte and `dim`
+/// finite coordinates. The count is checked against the bytes actually
+/// present before any allocation.
+fn read_points(
+    r: &mut SliceReader<'_>,
+    dim: usize,
+) -> Result<(Vec<Point>, Vec<bool>), PersistError> {
     let n = r.u64()? as usize;
-    // Each point occupies 1 + 8·dim bytes; a count the remaining bytes
-    // cannot hold is corruption, caught *before* any `with_capacity`.
     let point_bytes = 1 + 8 * dim;
     if n > r.remaining() / point_bytes {
         return Err(corrupt(format!("point count {n} exceeds the bytes present")));
@@ -336,91 +303,63 @@ fn parse_payload(
         }
         points.push(Point::new(coords));
     }
-    let mut all_pieces = Vec::with_capacity(n);
-    for id in 0..n {
+    Ok((points, alive))
+}
+
+/// Parses an `NNCELL02`/`NNCELL01` payload: the cell construction
+/// settings and the cell section are validated exactly as when they were
+/// loaded into cells, then dropped.
+fn parse_legacy(r: &mut SliceReader<'_>) -> Result<NnCellIndex<Euclidean>, PersistError> {
+    let dim = read_dim(r)?;
+    let strategy = r.u8()?;
+    if strategy > LEGACY_MAX_TAG {
+        return Err(corrupt(format!("unknown strategy tag {strategy}")));
+    }
+    let solver = r.u8()?;
+    if solver > LEGACY_MAX_TAG {
+        return Err(corrupt(format!("unknown solver tag {solver}")));
+    }
+    let _refine_on_insert = r.u8()?;
+    let _reserved = r.u8()?;
+    let pieces_budget = r.u32()? as usize;
+    if pieces_budget > LEGACY_MAX_PIECES {
+        return Err(corrupt(format!(
+            "decomposition budget {pieces_budget} exceeds the format limit {LEGACY_MAX_PIECES}"
+        )));
+    }
+    let radius = r.f64()?;
+    if radius.is_finite() && radius <= 0.0 {
+        return Err(corrupt(format!("non-positive sphere radius {radius}")));
+    }
+    let _seed = r.u64()?;
+    let block_size = read_block_size(r)?;
+    let (points, alive) = read_points(r, dim)?;
+    for (id, &live) in alive.iter().enumerate() {
         let k = r.u32()? as usize;
-        if k > MAX_PIECES {
+        if k > LEGACY_MAX_PIECES {
             return Err(corrupt(format!("implausible piece count {k}")));
         }
-        if alive[id] && k == 0 {
+        if live && k == 0 {
             return Err(corrupt(format!("live point {id} without cell pieces")));
         }
         if k > r.remaining() / (16 * dim) {
             return Err(corrupt(format!("piece count {k} exceeds the bytes present")));
         }
-        let mut pieces = Vec::with_capacity(k);
         for _ in 0..k {
-            let mut lo = Vec::with_capacity(dim);
-            let mut hi = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                lo.push(r.f64()?);
+            let lo = (0..dim).map(|_| r.f64()).collect::<Result<Vec<_>, _>>()?;
+            let hi = (0..dim).map(|_| r.f64()).collect::<Result<Vec<_>, _>>()?;
+            // Saved boxes were always normalized (`hi ≥ lo`), so anything
+            // inverted at all is corruption.
+            if lo
+                .iter()
+                .zip(&hi)
+                .any(|(l, h)| !(l.is_finite() && h.is_finite()) || h < l)
+            {
+                return Err(corrupt(format!("invalid piece bounds for point {id}")));
             }
-            for _ in 0..dim {
-                hi.push(r.f64()?);
-            }
-            for i in 0..dim {
-                // `Mbr::new` snaps sub-EPS inversions but panics beyond
-                // them; saved boxes are always normalized (`hi ≥ lo`), so
-                // anything inverted at all is corruption.
-                if !(lo[i].is_finite() && hi[i].is_finite()) || hi[i] < lo[i] {
-                    return Err(corrupt(format!("invalid piece bounds for point {id}")));
-                }
-            }
-            pieces.push(Mbr::new(lo, hi));
-        }
-        all_pieces.push(pieces);
-    }
-
-    let mut idx = NnCellIndex::new(dim, cfg);
-    for (id, p) in points.iter().enumerate() {
-        if alive[id] {
-            idx.point_tree_insert(p, id);
         }
     }
-    idx.install_cells(points, alive, all_pieces);
-    Ok(idx)
-}
-
-fn strategy_tag(s: Strategy) -> u8 {
-    match s {
-        Strategy::Correct => 0,
-        Strategy::CorrectPruned => 1,
-        Strategy::Point => 2,
-        Strategy::Sphere => 3,
-        Strategy::NnDirection => 4,
-    }
-}
-
-fn strategy_from_tag(t: u8) -> Result<Strategy, PersistError> {
-    Ok(match t {
-        0 => Strategy::Correct,
-        1 => Strategy::CorrectPruned,
-        2 => Strategy::Point,
-        3 => Strategy::Sphere,
-        4 => Strategy::NnDirection,
-        _ => return Err(corrupt(format!("unknown strategy tag {t}"))),
-    })
-}
-
-fn solver_tag(s: SolverKind) -> u8 {
-    match s {
-        SolverKind::Simplex => 0,
-        SolverKind::Seidel => 1,
-        SolverKind::Auto => 2,
-        SolverKind::DualSimplex => 3,
-        SolverKind::ActiveSet => 4,
-    }
-}
-
-fn solver_from_tag(t: u8) -> Result<SolverKind, PersistError> {
-    Ok(match t {
-        0 => SolverKind::Simplex,
-        1 => SolverKind::Seidel,
-        2 => SolverKind::Auto,
-        3 => SolverKind::DualSimplex,
-        4 => SolverKind::ActiveSet,
-        _ => return Err(corrupt(format!("unknown solver tag {t}"))),
-    })
+    Ok(index_from(dim, block_size, points, alive))
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -435,22 +374,53 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// The file an earlier release saved for `index`, in the cell-bearing
+/// `NNCELL02` (`checksummed`) or `NNCELL01` format, NN-Direction settings
+/// and one piece per live cell: the data-space box, the widest valid
+/// approximation (Lemma 1). Tests use it to check old files still open.
+#[cfg(test)]
+pub(crate) fn legacy_file_bytes(index: &NnCellIndex<Euclidean>, checksummed: bool) -> Vec<u8> {
+    let d = index.dim();
+    let mut out = Vec::new();
+    out.extend_from_slice(if checksummed { MAGIC_V2 } else { MAGIC_V1 });
+    put_u32(&mut out, d as u32);
+    out.extend_from_slice(&[4, 2, 1, 0]); // NN-Direction, Auto, refine on, reserved
+    put_u32(&mut out, 0); // no decomposition
+    put_f64(&mut out, f64::NAN); // default sphere radius
+    put_u64(&mut out, 0); // seed
+    put_u32(&mut out, index.config().block_size as u32);
+    put_u64(&mut out, index.points().len() as u64);
+    for (id, p) in index.points().iter().enumerate() {
+        out.push(index.is_live(id) as u8);
+        for &c in p.as_slice() {
+            put_f64(&mut out, c);
+        }
+    }
+    for id in 0..index.points().len() {
+        let live = index.is_live(id);
+        put_u32(&mut out, live as u32);
+        if live {
+            for bound in [0.0, 1.0] {
+                for _ in 0..d {
+                    put_f64(&mut out, bound);
+                }
+            }
+        }
+    }
+    if checksummed {
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::QueryEngine;
     use crate::query::Query;
-    use crate::scan::linear_scan_nn;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-
-    /// NN through the typed engine, with the old shim's `Option` shape.
-    fn nn(idx: &NnCellIndex, q: &[f64]) -> Option<crate::index::QueryResult> {
-        QueryEngine::sequential(idx)
-            .execute(&Query::nn(q))
-            .ok()
-            .map(|r| r.best)
-    }
 
     fn uniform(n: usize, d: usize, seed: u64) -> Vec<Point> {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -465,6 +435,42 @@ mod tests {
         p
     }
 
+    /// An index over `n` uniform points with a few dead slots.
+    fn index_with_dead_slots(n: usize, d: usize, seed: u64) -> NnCellIndex<Euclidean> {
+        let mut idx = NnCellIndex::build(uniform(n, d, seed), BuildConfig::default()).unwrap();
+        for id in [1, n / 2, n - 1] {
+            assert!(idx.remove(id));
+        }
+        idx
+    }
+
+    /// `b` holds the same slots as `a` and answers every query of a
+    /// random batch bit-identically (k-NN ids and distance bits).
+    fn assert_same_index(a: &NnCellIndex<Euclidean>, b: &NnCellIndex<Euclidean>, seed: u64) {
+        assert_eq!(a.dim(), b.dim());
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.config().block_size, b.config().block_size);
+        assert_eq!(a.points().len(), b.points().len());
+        for (id, p) in a.points().iter().enumerate() {
+            assert_eq!(a.is_live(id), b.is_live(id), "liveness of {id}");
+            assert_eq!(p.as_slice(), b.points()[id].as_slice(), "point {id}");
+        }
+        // An empty radius ball is a typed error on both sides alike.
+        let bits = |idx: &NnCellIndex<Euclidean>, q: &Query| -> Vec<(usize, u64)> {
+            QueryEngine::sequential(idx)
+                .execute(q)
+                .map(|r| r.iter().map(|r| (r.id, r.dist.to_bits())).collect())
+                .unwrap_or_default()
+        };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..40 {
+            let q: Vec<f64> = (0..a.dim()).map(|_| rng.gen_range(0.0..1.0)).collect();
+            for query in [Query::nn(q.clone()), Query::knn(q.clone(), 5), Query::radius(q, 0.3)] {
+                assert_eq!(bits(a, &query), bits(b, &query));
+            }
+        }
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard check value for "123456789" under CRC-32/IEEE.
@@ -473,124 +479,89 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_cells_and_answers() {
-        let pts = uniform(60, 3, 1);
-        let idx = NnCellIndex::build(
-            pts.clone(),
-            BuildConfig::builder().strategy(Strategy::Sphere)
-                .decompose_pieces(4)
-                .seed(7).build(),
-        )
-        .unwrap();
+    fn roundtrip_answers_bit_identically_with_dead_slots() {
+        let idx = index_with_dead_slots(60, 3, 1);
         let path = tmp("roundtrip");
         idx.save(&path).unwrap();
         let loaded = NnCellIndex::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
-
-        assert_eq!(loaded.len(), idx.len());
-        assert_eq!(loaded.dim(), idx.dim());
-        assert_eq!(loaded.config().strategy, Strategy::Sphere);
-        assert_eq!(loaded.config().decompose_pieces, Some(4));
-        for id in 0..pts.len() {
-            let a = &idx.cell(id).unwrap().pieces;
-            let b = &loaded.cell(id).unwrap().pieces;
-            assert_eq!(a.len(), b.len());
-            for (ma, mb) in a.iter().zip(b.iter()) {
-                assert_eq!(ma, mb, "cell {id} differs after reload");
-            }
-        }
-        assert!(loaded.verify_integrity().is_ok());
-        // No LP ran on load; queries still exact.
-        let mut rng = SmallRng::seed_from_u64(9);
-        for _ in 0..40 {
-            let q: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..1.0)).collect();
-            let got = nn(&loaded, &q).unwrap();
-            let want = linear_scan_nn(&pts, &q).unwrap();
-            assert_eq!(got.id, want.id);
-        }
+        assert_same_index(&idx, &loaded, 9);
+        assert!(!loaded.is_live(1) && !loaded.is_live(30) && !loaded.is_live(59));
     }
 
     #[test]
     fn legacy_nncell01_files_still_load() {
-        let pts = uniform(30, 2, 11);
-        let idx = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(Strategy::Point).build()).unwrap();
+        // Both cell-bearing formats of earlier releases: checksummed
+        // NNCELL02 and unchecksummed NNCELL01. The cells are validated and
+        // dropped; the points, liveness and block size survive.
+        let idx = index_with_dead_slots(30, 2, 11);
         let path = tmp("legacy");
-        idx.save(&path).unwrap();
-        // Transform the v2 file into its v1 equivalent: same payload, v1
-        // magic, no checksum trailer.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - 4);
-        bytes[..8].copy_from_slice(MAGIC_V1);
-        std::fs::write(&path, &bytes).unwrap();
-        let loaded = NnCellIndex::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.len(), idx.len());
-        for id in 0..pts.len() {
-            assert_eq!(
-                idx.cell(id).unwrap().pieces,
-                loaded.cell(id).unwrap().pieces
-            );
+        for checksummed in [true, false] {
+            std::fs::write(&path, legacy_file_bytes(&idx, checksummed)).unwrap();
+            let loaded = NnCellIndex::load(&path).unwrap();
+            assert_same_index(&idx, &loaded, 12);
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn bit_flips_anywhere_are_detected() {
-        let pts = uniform(20, 2, 12);
-        let idx = NnCellIndex::build(pts, BuildConfig::builder().strategy(Strategy::Point).build()).unwrap();
+        // Every checksummed format — the current one and the cell-bearing
+        // NNCELL02 — turns a flip anywhere (header, points, cell section,
+        // trailer) into a typed corruption error.
+        let idx = index_with_dead_slots(20, 2, 12);
         let path = tmp("bitflip");
         idx.save(&path).unwrap();
-        let original = std::fs::read(&path).unwrap();
-        // Flip one bit at a stride of positions covering header, points,
-        // pieces, and the trailer itself.
-        for pos in (0..original.len()).step_by(7) {
-            let mut mutated = original.clone();
-            mutated[pos] ^= 0x10;
-            std::fs::write(&path, &mutated).unwrap();
-            match NnCellIndex::load(&path) {
-                Err(PersistError::Corrupt(_)) => {}
-                Err(PersistError::Io(e)) => panic!("unexpected I/O error: {e}"),
-                Ok(_) => panic!("bit flip at byte {pos} went undetected"),
+        let current = std::fs::read(&path).unwrap();
+        for original in [current, legacy_file_bytes(&idx, true)] {
+            for pos in (0..original.len()).step_by(7) {
+                let mut mutated = original.clone();
+                mutated[pos] ^= 0x10;
+                std::fs::write(&path, &mutated).unwrap();
+                match NnCellIndex::load(&path) {
+                    Err(PersistError::Corrupt(_)) => {}
+                    Err(PersistError::Io(e)) => panic!("unexpected I/O error: {e}"),
+                    Ok(_) => panic!("bit flip at byte {pos} went undetected"),
+                }
             }
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn roundtrip_with_dead_slots() {
-        let pts = uniform(40, 2, 2);
-        let mut idx =
-            NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(Strategy::NnDirection).build()).unwrap();
-        assert!(idx.remove(5));
-        assert!(idx.remove(17));
-        let path = tmp("dead");
-        idx.save(&path).unwrap();
-        let loaded = NnCellIndex::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.len(), 38);
-        assert!(!loaded.is_live(5));
-        assert!(!loaded.is_live(17));
-        assert!(loaded.is_live(6));
-        // Removed points never returned.
-        let mut rng = SmallRng::seed_from_u64(3);
-        for _ in 0..30 {
-            let q: Vec<f64> = (0..2).map(|_| rng.gen_range(0.0..1.0)).collect();
-            let got = nn(&loaded, &q).unwrap();
-            assert!(got.id != 5 && got.id != 17);
+        // NNCELL01 has no checksum: structural damage to its cell section
+        // is still a typed error, never a panic or a silent load.
+        let v1 = legacy_file_bytes(&idx, false);
+        let cells_at = 8 + 32 + 8 + idx.points().len() * (1 + 8 * 2);
+        // Cell 0 is live: a piece count, then its piece's lo and hi.
+        for (at, bytes) in [
+            (cells_at, 0u32.to_le_bytes().to_vec()), // live cell without pieces
+            (cells_at + 4, f64::NAN.to_le_bytes().to_vec()), // NaN bound
+            (cells_at + 4, 2.0f64.to_le_bytes().to_vec()), // lo > hi
+            (cells_at, u32::MAX.to_le_bytes().to_vec()), // absurd piece count
+        ] {
+            let mut mutated = v1.clone();
+            mutated[at..at + bytes.len()].copy_from_slice(&bytes);
+            std::fs::write(&path, &mutated).unwrap();
+            assert!(
+                matches!(NnCellIndex::load(&path), Err(PersistError::Corrupt(_))),
+                "damage at byte {at} went undetected"
+            );
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn loaded_index_supports_updates() {
         let pts = uniform(30, 2, 4);
-        let idx = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(Strategy::Sphere).build()).unwrap();
+        let idx = NnCellIndex::build(pts.clone(), BuildConfig::default()).unwrap();
         let path = tmp("updates");
         idx.save(&path).unwrap();
         let mut loaded = NnCellIndex::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let new_id = loaded.insert(Point::new(vec![0.123, 0.456])).unwrap();
         assert_eq!(new_id, 30);
-        let got = nn(&loaded, &[0.123, 0.456]).unwrap();
-        assert_eq!(got.id, new_id);
+        let got = QueryEngine::sequential(&loaded)
+            .execute(&Query::nn([0.123, 0.456]))
+            .unwrap();
+        assert_eq!(got.best.id, new_id);
+        assert!(loaded.remove(3));
     }
 
     #[test]
@@ -604,7 +575,7 @@ mod tests {
 
         // Valid prefix, truncated payload.
         let pts = uniform(20, 2, 5);
-        let idx = NnCellIndex::build(pts, BuildConfig::builder().strategy(Strategy::Point).build()).unwrap();
+        let idx = NnCellIndex::build(pts, BuildConfig::default()).unwrap();
         idx.save(&path).unwrap();
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
@@ -630,53 +601,5 @@ mod tests {
             NnCellIndex::load("/nonexistent/nncell.idx"),
             Err(PersistError::Io(_))
         ));
-    }
-
-    #[test]
-    fn verify_detects_and_repair_fixes_a_bad_cell() {
-        // Forge a legacy (un-checksummed) file whose one stored piece does
-        // not contain its generating point — structurally plausible, so
-        // `load` accepts it, but `verify_integrity` must flag it and
-        // `repair` must restore exactness.
-        let pts = uniform(25, 2, 13);
-        let idx = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(Strategy::Correct).build()).unwrap();
-        let path = tmp("verify");
-        idx.save(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - 4); // drop checksum
-        bytes[..8].copy_from_slice(MAGIC_V1); // legacy magic
-        // Payload layout after the 8-byte magic: 4 (dim) + 4 (tags) +
-        // 4 (pieces) + 8 (radius) + 8 (seed) + 4 (block) = 32 bytes of
-        // config, then 8 (count) + 25 points × (1 + 16) bytes, then cell 0:
-        // 4 (piece count) + its first piece's lo/hi.
-        let cell0 = 8 + 32 + 8 + 25 * 17 + 4;
-        // Shrink piece 0 of cell 0 to a sliver far from the point.
-        for (off, val) in [
-            (0usize, 0.90f64),
-            (8, 0.90), // lo = (0.90, 0.90)
-            (16, 0.91),
-            (24, 0.91), // hi = (0.91, 0.91)
-        ] {
-            bytes[cell0 + off..cell0 + off + 8].copy_from_slice(&val.to_le_bytes());
-        }
-        std::fs::write(&path, &bytes).unwrap();
-        let mut loaded = NnCellIndex::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        // Point 0 of this seed is nowhere near (0.90, 0.91)², so its cell
-        // no longer covers it.
-        let report = loaded.verify_integrity();
-        assert_eq!(report.checked_cells, 25);
-        assert_eq!(report.bad_cells, vec![0]);
-        let repaired = loaded.repair();
-        assert_eq!(repaired, 1);
-        assert!(loaded.verify_integrity().is_ok());
-        // Exactness restored.
-        let mut rng = SmallRng::seed_from_u64(14);
-        for _ in 0..40 {
-            let q: Vec<f64> = (0..2).map(|_| rng.gen_range(0.0..1.0)).collect();
-            let got = nn(&loaded, &q).unwrap();
-            let want = linear_scan_nn(&pts, &q).unwrap();
-            assert_eq!(got.id, want.id, "q={q:?}");
-        }
     }
 }

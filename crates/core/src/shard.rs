@@ -1,15 +1,13 @@
 //! Sharded concurrent serving layer: S independent [`NnCellIndex`] shards
-//! behind one exact query surface.
+//! (each a point X-tree over its points) behind one exact query surface.
 //!
 //! # Partitioning and exactness
 //!
 //! Points are partitioned **round-robin** by global id: global id `g`
 //! lives in shard `g % S` at local id `g / S` (so `global = local·S +
-//! shard`, a bijection). The NN-cell method is exact under partitioning:
-//! each shard's cell approximations are supersets of that shard's true
-//! Voronoi cells (Lemma 1 holds per shard — dropping rivals only *grows*
-//! cells), so each shard returns its exact local k nearest neighbors, and
-//! the k smallest of the union — merged by `(distance, global id)` — are
+//! shard`, a bijection). Exact search is exact under partitioning: each
+//! shard returns its exact local k nearest neighbors, and the k smallest
+//! of the union — merged by `(distance, global id)` — are
 //! exactly the unsharded answer, tie ordering included. The id mapping
 //! preserves order: within a shard, ascending local id means ascending
 //! global id, so per-shard `(dist, local id)` ordering merges into the
@@ -17,7 +15,7 @@
 //!
 //! # Concurrency: one published snapshot per shard, one write path
 //!
-//! Each shard's NN-cell index exists once in memory, as the immutable
+//! Each shard's index exists once in memory, as the immutable
 //! `Arc` published in its [`SnapshotCell`]. Readers
 //! ([`ShardedIndex::query`] / [`ShardedIndex::batch`], `&self`) load it and
 //! run entirely on it, merging the shard's unfolded memtable tail by
@@ -25,10 +23,10 @@
 //! [`ShardedIndex::remove`], also `&self`) takes the same path: serialize
 //! on one writer mutex, validate against snapshot + tail, journal through
 //! the shard's WAL when durable, push onto the tail, acknowledge — O(1),
-//! no cell construction, no copy. A supervised folder
-//! ([`ShardedIndex::run_folder`], or [`ShardedIndex::fold_once`] /
-//! [`ShardedIndex::flush`]) clones the published snapshot, applies the
-//! tail batch to the clone off-lock, and **publishes** it; that working
+//! no copy. A supervised folder ([`ShardedIndex::run_folder`], or
+//! [`ShardedIndex::fold_once`] / [`ShardedIndex::flush`]) clones the
+//! published snapshot, applies the tail batch to the clone off-lock — one
+//! point-tree insert or delete per record — and **publishes** it; that working
 //! copy is the only clone the write path ever makes. Readers never block
 //! on a write and never observe a half-applied mutation; a query
 //! overlapping a publish simply answers from the version it loaded.
@@ -99,9 +97,9 @@ struct Writer {
 ///
 /// Lock order everywhere: `fold_lock` → writer mutex → tail mutexes.
 /// Queries take only tail mutexes (for a bounded snapshot clone), writers
-/// take writer → tail with O(1)/O(tail) holds, and the folder's heavy LP
-/// work happens with **no** lock held — only its freeze and publish steps
-/// touch the mutexes, both O(tail) at worst.
+/// take writer → tail with O(1)/O(tail) holds, and the folder's clone and
+/// point-tree updates happen with **no** lock held — only its freeze and
+/// publish steps touch the mutexes, both O(tail) at worst.
 struct TailState {
     cfg: FoldConfig,
     tails: Vec<Mutex<Memtable>>,
@@ -223,7 +221,7 @@ fn sleep_interruptible(stop: &AtomicBool, dur: Duration) {
     }
 }
 
-/// S independent NN-cell shards behind one exact, concurrently servable
+/// S independent index shards behind one exact, concurrently servable
 /// query API. See the module docs for the partitioning and snapshot
 /// protocol. Built over the Euclidean metric (the durable layer's
 /// contract).
@@ -234,8 +232,8 @@ fn sleep_interruptible(stop: &AtomicBool, dur: Duration) {
 pub struct ShardedIndex {
     dim: usize,
     cfg: BuildConfig,
-    /// Published snapshots, one cell per shard: the only in-memory copy
-    /// of each shard's cells.
+    /// Published snapshots, one per shard: the only in-memory copy of
+    /// each shard's index.
     snaps: Vec<SnapshotCell<NnCellIndex<Euclidean>>>,
     writer: Mutex<Writer>,
     /// Wall-clock seconds of the initial sharded build (0 for loads).
@@ -260,9 +258,8 @@ impl ShardedIndex {
     /// Builds a sharded index over `points`: global input validation
     /// (identical to [`NnCellIndex::build`], including
     /// [`crate::InputPolicy`] handling and error ids), round-robin
-    /// partitioning, then one [`NnCellIndex::build`] per shard — each
-    /// running in its own thread, each reusing the per-worker build
-    /// batching configured by [`BuildConfig::with_threads`].
+    /// partitioning, then one [`NnCellIndex::build`] per shard, each
+    /// running in its own thread.
     ///
     /// # Errors
     /// The same [`BuildError`] contract as the unsharded build, with ids
@@ -457,10 +454,10 @@ impl ShardedIndex {
         self.snaps[i].load()
     }
 
-    /// Aggregated construction counters: LP work, candidates, and phase
-    /// profiles summed over the shards' lifetimes (dynamic updates
-    /// included), with `seconds` the wall clock of the initial sharded
-    /// build and `skipped_points` from the global input validation.
+    /// Aggregated construction counters: `seconds` is the wall clock of
+    /// the initial sharded build, `skipped_points` comes from the global
+    /// input validation, and `bulk_load_seconds` sums the shards' point
+    /// tree loads.
     pub fn build_stats(&self) -> BuildStats {
         let mut agg = BuildStats {
             seconds: self.build_seconds,
@@ -468,23 +465,9 @@ impl ShardedIndex {
             ..BuildStats::default()
         };
         for cell in &self.snaps {
-            let snap = cell.load();
-            let s = snap.build_stats();
-            agg.lp.merge(s.lp);
-            agg.candidates += s.candidates;
+            let s = *cell.load().build_stats();
             agg.skipped_points += s.skipped_points;
-            let p = &s.profile;
-            agg.profile.constraint_selection.nanos += p.constraint_selection.nanos;
-            agg.profile.constraint_selection.calls += p.constraint_selection.calls;
-            agg.profile.lp_solve.nanos += p.lp_solve.nanos;
-            agg.profile.lp_solve.calls += p.lp_solve.calls;
-            agg.profile.decomposition.nanos += p.decomposition.nanos;
-            agg.profile.decomposition.calls += p.decomposition.calls;
-            agg.profile.bulk_load.nanos += p.bulk_load.nanos;
-            agg.profile.bulk_load.calls += p.bulk_load.calls;
-            agg.profile.batches += p.batches;
-            agg.profile.batch_total_nanos += p.batch_total_nanos;
-            agg.profile.batch_max_nanos = agg.profile.batch_max_nanos.max(p.batch_max_nanos);
+            agg.bulk_load_seconds += s.bulk_load_seconds;
         }
         agg
     }
@@ -516,8 +499,8 @@ impl ShardedIndex {
     }
 
     /// Attaches a metrics registry: every shard's engine, gauge, and tree
-    /// series is registered under a `shard="<i>"` label (the LP and WAL
-    /// families stay unlabeled, shared as whole-index totals — see
+    /// series is registered under a `shard="<i>"` label (the WAL family
+    /// stays unlabeled, shared as whole-index totals — see
     /// [`NnCellIndex::attach_metrics_labeled`]). The snapshots are updated
     /// in place when no reader holds them (start-up), otherwise a copy is
     /// published so concurrent readers start recording immediately.
@@ -852,7 +835,7 @@ impl ShardedIndex {
     /// cross-shard exact-duplicate check against snapshots and tails),
     /// journal it (durable mode), and land it in the owning shard's
     /// memtable tail. Returns the global id. The ack is O(1) in the index
-    /// size — no LP solve, no snapshot copy; the folder indexes the point
+    /// size — no tree update, no snapshot copy; the folder indexes the point
     /// later, and queries see it immediately through the tail merge.
     ///
     /// # Errors
@@ -930,13 +913,13 @@ impl ShardedIndex {
     }
 
     // ------------------------------------------------------------------
-    // folding (memtable → NN-cells, off the write path)
+    // folding (memtable → point tree, off the write path)
     // ------------------------------------------------------------------
 
-    /// Folds every shard's frozen-plus-active tail into its NN-cell index
-    /// and publishes the results. Returns the number of operations folded
-    /// (0 with empty tails). Heavy LP work runs with no lock held; only the
-    /// freeze and publish steps touch the mutexes.
+    /// Folds every shard's frozen-plus-active tail into its index and
+    /// publishes the results. Returns the number of operations folded
+    /// (0 with empty tails). The clone and the point-tree updates run with
+    /// no lock held; only the freeze and publish steps touch the mutexes.
     ///
     /// # Errors
     /// [`FoldError::Panicked`] when a shard's fold panicked (the batch
@@ -1334,7 +1317,7 @@ impl ShardedIndex {
     /// failing shard keeps its previous generation intact.
     pub fn checkpoint(&self) -> Result<(), PersistError> {
         // Fold lock first: a checkpoint interleaved with an in-flight
-        // fold could otherwise snapshot cells missing the frozen batch
+        // fold could otherwise snapshot an index missing the frozen batch
         // while seeding the WAL without it either.
         let _fold = lock_fold(&self.tail.fold_lock);
         let mut w = self.lock_writer();

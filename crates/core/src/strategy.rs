@@ -5,7 +5,7 @@
 //! rival points whose bisectors are used. By Lemma 1, *any* subset yields a
 //! superset approximation, so every strategy preserves exact query answers.
 
-use crate::config::{BuildConfig, Strategy};
+use crate::config::{CellConfig, Strategy};
 use nncell_geom::Point;
 use nncell_index::{BestFirstScratch, Tree, XTree};
 
@@ -15,7 +15,7 @@ use nncell_index::{BestFirstScratch, Tree, XTree};
 /// `tree` is the data-point X-tree (ids are point indices); dead points are
 /// absent from it. `live_count` sizes the Sphere radius heuristic.
 pub(crate) fn gather_rival_ids(
-    cfg: &BuildConfig,
+    cfg: &CellConfig,
     id: usize,
     points: &[Point],
     alive: &[bool],
@@ -202,7 +202,7 @@ pub(crate) fn nearest_rivals(p: &Point, id: usize, tree: &XTree, k: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BuildConfig;
+    use crate::config::CellConfig;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -220,7 +220,7 @@ mod tests {
     }
 
     fn rivals(
-        cfg: &BuildConfig,
+        cfg: &CellConfig,
         id: usize,
         points: &[Point],
         alive: &[bool],
@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn correct_returns_everyone_else() {
         let (points, alive, tree) = setup(50, 3, 1);
-        let cfg = BuildConfig::builder().strategy(Strategy::Correct).build();
+        let cfg = CellConfig::builder().strategy(Strategy::Correct).build();
         let ids = rivals(&cfg, 7, &points, &alive, &tree, 50);
         assert_eq!(ids.len(), 49);
         assert!(!ids.contains(&7));
@@ -244,7 +244,7 @@ mod tests {
         let (points, mut alive, tree) = setup(20, 2, 2);
         alive[3] = false;
         alive[4] = false;
-        let cfg = BuildConfig::builder().strategy(Strategy::Correct).build();
+        let cfg = CellConfig::builder().strategy(Strategy::Correct).build();
         let ids = rivals(&cfg, 0, &points, &alive, &tree, 18);
         assert_eq!(ids.len(), 17);
         assert!(!ids.contains(&3) && !ids.contains(&4));
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn point_strategy_returns_page_mates() {
         let (points, alive, tree) = setup(200, 4, 3);
-        let cfg = BuildConfig::builder().strategy(Strategy::Point).build();
+        let cfg = CellConfig::builder().strategy(Strategy::Point).build();
         let ids = rivals(&cfg, 11, &points, &alive, &tree, 200);
         // At minimum the other points of 11's own leaf page qualify; the set
         // must never contain the point itself.
@@ -264,8 +264,8 @@ mod tests {
     #[test]
     fn sphere_candidates_grow_with_radius() {
         let (points, alive, tree) = setup(300, 3, 4);
-        let small = BuildConfig::builder().strategy(Strategy::Sphere).sphere_radius(0.05).build();
-        let large = BuildConfig::builder().strategy(Strategy::Sphere).sphere_radius(0.5).build();
+        let small = CellConfig::builder().strategy(Strategy::Sphere).sphere_radius(0.05).build();
+        let large = CellConfig::builder().strategy(Strategy::Sphere).sphere_radius(0.5).build();
         let a = rivals(&small, 5, &points, &alive, &tree, 300).len();
         let b = rivals(&large, 5, &points, &alive, &tree, 300).len();
         assert!(a <= b, "sphere candidates must be monotone in radius");
@@ -276,7 +276,7 @@ mod tests {
     fn nn_direction_is_small_and_directional() {
         let d = 4;
         let (points, alive, tree) = setup(400, d, 5);
-        let cfg = BuildConfig::builder().strategy(Strategy::NnDirection).build();
+        let cfg = CellConfig::builder().strategy(Strategy::NnDirection).build();
         let ids = rivals(&cfg, 42, &points, &alive, &tree, 400);
         assert!(!ids.is_empty());
         assert!(

@@ -12,7 +12,7 @@
 //! single `#[test]` — a second test running concurrently in this binary
 //! would allocate while the gate is open.
 
-use nncell_core::{BuildConfig, NnCellIndex, Query, QueryScratch, Registry, Strategy};
+use nncell_core::{BuildConfig, NnCellIndex, Query, QueryScratch, Registry};
 use nncell_geom::Point;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,7 +66,7 @@ fn warm_scratch_queries_do_not_allocate() {
         })
         .collect();
     let mut index =
-        NnCellIndex::build(pts, BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(7).build()).unwrap();
+        NnCellIndex::build(pts, BuildConfig::default()).unwrap();
     let nn_queries: Vec<Query> = (0..64)
         .map(|i| {
             Query::nn(vec![

@@ -49,7 +49,7 @@ proptest! {
         let strategy = BuildStrategy::ALL[strat_pick];
         let index = NnCellIndex::build(
             pts.clone(),
-            BuildConfig::builder().strategy(strategy).seed(11).build(),
+            BuildConfig::default(),
         ).unwrap();
         let batch: Vec<Query> = queries
             .iter()
@@ -91,7 +91,7 @@ proptest! {
         }
         let index = NnCellIndex::build(
             pts.clone(),
-            BuildConfig::builder().strategy(BuildStrategy::CorrectPruned).seed(5).build(),
+            BuildConfig::default(),
         ).unwrap();
         let engine = index.engine().with_threads(4);
         // Cell centers (1 candidate), edge midpoints (2 equidistant),
@@ -125,7 +125,7 @@ fn batch_races_reset_stats_and_enable_cache() {
         })
         .collect();
     let index =
-        NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(9).build())
+        NnCellIndex::build(pts.clone(), BuildConfig::default())
             .unwrap();
     let queries: Vec<Query> = (0..400)
         .map(|i| {
@@ -192,7 +192,7 @@ fn all_fallback_paths_are_counted() {
         .collect();
     let index = NnCellIndex::build(
         pts,
-        BuildConfig::builder().strategy(BuildStrategy::CorrectPruned).seed(3).build(),
+        BuildConfig::default(),
     )
     .unwrap();
     let engine = index.engine().with_threads(1);
@@ -228,7 +228,7 @@ fn typed_errors_replace_silent_none() {
         .collect();
     let index = NnCellIndex::build(
         pts,
-        BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(1).build(),
+        BuildConfig::default(),
     )
     .unwrap();
     let engine = index.engine();
@@ -247,7 +247,7 @@ fn typed_errors_replace_silent_none() {
         engine.execute(&Query::knn([0.5, 0.5], 0)).unwrap_err(),
         QueryError::ZeroK
     );
-    let empty = NnCellIndex::new(2, BuildConfig::builder().strategy(BuildStrategy::Sphere).build());
+    let empty = NnCellIndex::new(2, BuildConfig::default());
     assert_eq!(
         empty.engine().execute(&Query::nn([0.5, 0.5])).unwrap_err(),
         QueryError::EmptyIndex
@@ -261,7 +261,7 @@ fn radius_query_contract() {
         .collect();
     let index = NnCellIndex::build(
         pts,
-        BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(1).build(),
+        BuildConfig::default(),
     )
     .unwrap();
     let engine = index.engine();
@@ -280,7 +280,7 @@ fn radius_query_contract() {
             Point::new(vec![0.75, 0.5]),
             Point::new(vec![0.5, 0.125]),
         ],
-        BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(1).build(),
+        BuildConfig::default(),
     )
     .unwrap();
     let resp = boundary

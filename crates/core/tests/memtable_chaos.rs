@@ -8,7 +8,6 @@
 
 use nncell_core::{
     linear_scan_knn, BuildConfig, DurableError, FoldConfig, Query, Registry, ShardedIndex,
-    Strategy,
 };
 use nncell_geom::Point;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -19,7 +18,7 @@ const DIM: usize = 2;
 const SHARDS: usize = 2;
 
 fn cfg() -> BuildConfig {
-    BuildConfig::builder().strategy(Strategy::Sphere).seed(11).build()
+    BuildConfig::default()
 }
 
 fn pt(i: usize) -> Point {

@@ -1,10 +1,11 @@
 //! End-to-end observability checks: with a registry attached, every counter
 //! and histogram in the snapshot agrees with the ground truth the engine and
-//! index already report (`QueryResponse` stats, `BuildStats::lp`, the
-//! recovery report) — the registry is a mirror, never a second opinion.
+//! index already report (`QueryResponse` stats, the live count, the point
+//! tree's cost counters, the recovery report) — the registry is a mirror,
+//! never a second opinion.
 
 use nncell_core::{
-    BuildConfig, NnCellIndex, Query, QueryScratch, Registry, ShardedIndex, Strategy,
+    BuildConfig, CellConfig, CellSet, NnCellIndex, Query, QueryScratch, Registry, ShardedIndex,
 };
 use nncell_geom::Point;
 use std::sync::Arc;
@@ -21,11 +22,11 @@ fn grid(n: usize) -> Vec<Point> {
 }
 
 fn cfg() -> BuildConfig {
-    BuildConfig::builder().strategy(Strategy::Sphere).seed(11).build()
+    BuildConfig::default()
 }
 
 #[test]
-fn registry_counters_agree_with_engine_and_lp_totals() {
+fn registry_counters_agree_with_engine_totals() {
     let mut index = NnCellIndex::build(grid(120), cfg()).unwrap();
     let registry = Registry::new();
     index.attach_metrics(registry.clone());
@@ -72,58 +73,20 @@ fn registry_counters_agree_with_engine_and_lp_totals() {
     let pages = snap.histogram("nncell_query_pages").unwrap();
     assert_eq!(pages.sum, total_pages);
 
-    // LP counters were seeded from the build and mirror CellLpStats exactly.
-    let lp = index.build_stats().lp;
-    assert_eq!(
-        snap.counter("nncell_lp_calls_total"),
-        Some(lp.lp_calls as u64)
-    );
-    assert_eq!(
-        snap.counter("nncell_lp_constraints_total"),
-        Some(lp.constraints as u64)
-    );
-    assert_eq!(
-        snap.counter("nncell_lp_fallback_total"),
-        Some(lp.fallback_lps as u64)
-    );
-    assert_eq!(
-        snap.counter("nncell_lp_clamped_extents_total"),
-        Some(lp.clamped_extents as u64)
-    );
-
-    // Structural gauges match the accessors.
+    // Structural gauges match the accessors, and the point tree's page
+    // counter mirrors its cost tracker's lifetime total.
     assert_eq!(snap.gauge("nncell_live_points"), Some(index.len() as i64));
     assert_eq!(
-        snap.gauge("nncell_cell_tree_pages"),
-        Some(index.cell_tree_pages() as i64)
+        snap.counter("nncell_point_tree_page_reads_total"),
+        Some(index.point_tree_stats().page_reads)
     );
 
-    // Dynamic updates keep the mirror in sync (insert + remove both
-    // recompute cells through the instrumented merge sites).
+    // Dynamic updates keep the gauge in sync.
     let id = index.insert(Point::new(vec![0.511, 0.377])).unwrap();
+    assert_eq!(registry.snapshot().gauge("nncell_live_points"), Some(index.len() as i64));
     index.remove(id);
     let snap = registry.snapshot();
-    let lp = index.build_stats().lp;
-    assert_eq!(
-        snap.counter("nncell_lp_calls_total"),
-        Some(lp.lp_calls as u64)
-    );
-    assert_eq!(
-        snap.counter("nncell_lp_constraints_total"),
-        Some(lp.constraints as u64)
-    );
     assert_eq!(snap.gauge("nncell_live_points"), Some(index.len() as i64));
-    assert_eq!(
-        snap.gauge("nncell_cell_tree_pages"),
-        Some(index.cell_tree_pages() as i64)
-    );
-
-    // The live LP chain metrics start at attach time (the build pre-dates
-    // the registry), so only the insert/remove recomputations above show up
-    // — but they must show up. The tree counters mirror the cost trackers'
-    // lifetime totals (reads happened during the queries above).
-    assert!(snap.counter("nncell_lp_solver_attempts_total").unwrap() > 0);
-    assert!(snap.counter("nncell_cell_tree_page_reads_total").unwrap() > 0);
 
     // Both render targets name every metric.
     let prom = snap.to_prometheus();
@@ -131,9 +94,8 @@ fn registry_counters_agree_with_engine_and_lp_totals() {
     for name in [
         "nncell_queries_total",
         "nncell_query_latency_ns",
-        "nncell_lp_calls_total",
         "nncell_live_points",
-        "nncell_cell_tree_page_reads_total",
+        "nncell_point_tree_page_reads_total",
     ] {
         assert!(prom.contains(name), "prometheus output missing {name}");
         assert!(json.contains(name), "json output missing {name}");
@@ -223,14 +185,9 @@ fn durable_stack_reports_wal_and_rotation_counters() {
 
 #[test]
 fn build_profile_times_every_phase() {
-    let index = NnCellIndex::build(
-        grid(80),
-        BuildConfig::builder().strategy(Strategy::Sphere)
-            .seed(3)
-            .threads(2).build(),
-    )
-    .unwrap();
-    let profile = index.build_stats().profile;
+    let index = NnCellIndex::build(grid(80), cfg()).unwrap();
+    let cells = CellSet::build(&index, CellConfig::builder().seed(3).threads(2).build());
+    let profile = cells.stats().profile;
     assert_eq!(profile.constraint_selection.calls, 80);
     assert_eq!(profile.lp_solve.calls, 80);
     assert!(profile.lp_solve.nanos > 0);

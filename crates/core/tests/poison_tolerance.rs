@@ -10,13 +10,13 @@
 //!
 //! [`SnapshotCell`]: nncell_core::snapshot::SnapshotCell
 
-use nncell_core::{BuildConfig, Query, ShardedIndex, Strategy};
+use nncell_core::{BuildConfig, Query, ShardedIndex};
 use nncell_geom::Point;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 fn cfg() -> BuildConfig {
-    BuildConfig::builder().strategy(Strategy::Sphere).seed(11).build()
+    BuildConfig::default()
 }
 
 fn grid(n: usize, dim: usize) -> Vec<Point> {

@@ -1,10 +1,21 @@
-//! Property-based tests of the paper's two lemmas on the full index.
+//! Property-based tests of the paper's two lemmas on NN-cells
+//! ([`CellSet`]), plus dynamic updates of the serving index.
 
 use nncell_core::{
-    linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryEngine, Strategy as BuildStrategy,
+    linear_scan_nn, BuildConfig, CellConfig, CellSet, NnCellIndex, Query, QueryEngine,
+    Strategy as BuildStrategy,
 };
 use nncell_geom::{dist_sq, Point};
 use proptest::prelude::*;
+
+/// Every strategy, the exactness-preserving CorrectPruned included.
+const STRATEGIES: [BuildStrategy; 5] = [
+    BuildStrategy::Correct,
+    BuildStrategy::CorrectPruned,
+    BuildStrategy::Point,
+    BuildStrategy::Sphere,
+    BuildStrategy::NnDirection,
+];
 
 /// NN through the typed engine, with the removed shim's `Option` shape.
 fn nn(idx: &NnCellIndex, q: &[f64]) -> Option<nncell_core::QueryResult> {
@@ -18,47 +29,61 @@ fn coord() -> impl Strategy<Value = f64> {
     (0..=1000u32).prop_map(|v| v as f64 / 1000.0)
 }
 
-fn point_set(d: usize, min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
-    prop::collection::vec(prop::collection::vec(coord(), d), min..max).prop_filter_map(
-        "distinct points",
-        |pts| {
-            for (i, p) in pts.iter().enumerate() {
-                for q in pts.iter().skip(i + 1) {
-                    if dist_sq(p, q) <= 1e-9 {
-                        return None;
-                    }
-                }
+/// A coarse grid: queries on it sit on many cell boundaries at once, so
+/// exact distance ties are common and `(dist, id)` decides.
+fn lattice_coord() -> impl Strategy<Value = f64> {
+    (0..=8u32).prop_map(|v| v as f64 / 8.0)
+}
+
+fn distinct(pts: Vec<Vec<f64>>) -> Option<Vec<Point>> {
+    for (i, p) in pts.iter().enumerate() {
+        for q in pts.iter().skip(i + 1) {
+            if dist_sq(p, q) <= 1e-9 {
+                return None;
             }
-            Some(pts.into_iter().map(Point::new).collect())
-        },
-    )
+        }
+    }
+    Some(pts.into_iter().map(Point::new).collect())
+}
+
+fn point_set(d: usize, min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
+    prop::collection::vec(prop::collection::vec(coord(), d), min..max)
+        .prop_filter_map("distinct points", distinct)
+}
+
+fn lattice_set(d: usize, min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
+    prop::collection::vec(prop::collection::vec(lattice_coord(), d), min..max)
+        .prop_filter_map("distinct points", distinct)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    /// Lemma 2, tested directly on the cells: the cell-tree point query
+    /// plus refinement answers exactly like the scan — same id, same
+    /// distance bits — for every strategy, with and without
+    /// decomposition, with queries on lattice ties.
     #[test]
-    fn lemma2_no_false_dismissals_any_strategy(
-        pts in point_set(3, 3, 30),
-        queries in prop::collection::vec(prop::collection::vec(coord(), 3), 8),
-        strat_pick in 0usize..4,
+    fn lemma2_cell_query_is_bit_identical_to_scan(
+        pts in lattice_set(3, 3, 30),
+        queries in prop::collection::vec(prop::collection::vec(lattice_coord(), 3), 8),
+        strat_pick in 0usize..STRATEGIES.len(),
         decompose in prop::bool::ANY,
     ) {
-        let strategy = BuildStrategy::ALL[strat_pick];
-        let mut cfg = BuildConfig::builder().strategy(strategy).seed(17);
+        let strategy = STRATEGIES[strat_pick];
+        let mut cfg = CellConfig::builder().strategy(strategy).seed(17);
         if decompose {
             cfg = cfg.decompose_pieces(4);
         }
-        let cfg = cfg.build();
-        let index = NnCellIndex::build(pts.clone(), cfg).unwrap();
+        let index = NnCellIndex::build(pts.clone(), BuildConfig::default()).unwrap();
+        let cells = CellSet::build(&index, cfg.build());
         for q in &queries {
-            let got = nn(&index, q).unwrap();
+            let got = cells.nn(&index, q).unwrap();
             let want = linear_scan_nn(&pts, q).unwrap();
-            prop_assert!(
-                (got.dist - want.dist).abs() < 1e-9,
-                "{strategy:?} decompose={decompose}: {} vs {}",
-                got.dist,
-                want.dist
+            prop_assert_eq!(
+                (got.id, got.dist.to_bits()),
+                (want.id, want.dist.to_bits()),
+                "{:?} decompose={} q={:?}", strategy, decompose, q
             );
         }
     }
@@ -69,8 +94,10 @@ proptest! {
         strat_pick in 0usize..3,
     ) {
         let heuristic = [BuildStrategy::Point, BuildStrategy::Sphere, BuildStrategy::NnDirection][strat_pick];
-        let correct = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(BuildStrategy::Correct).build()).unwrap();
-        let approx = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(heuristic).build()).unwrap();
+        let index = NnCellIndex::build(pts.clone(), BuildConfig::default()).unwrap();
+        let cells = |s| CellSet::build(&index, CellConfig::builder().strategy(s).build());
+        let correct = cells(BuildStrategy::Correct);
+        let approx = cells(heuristic);
         for i in 0..pts.len() {
             let exact = &correct.cell(i).unwrap().pieces[0];
             let loose = &approx.cell(i).unwrap().pieces[0];
@@ -88,11 +115,7 @@ proptest! {
         del_pick in prop::collection::vec(0usize..20, 0..6),
         queries in prop::collection::vec(prop::collection::vec(coord(), 2), 6),
     ) {
-        let mut index = NnCellIndex::build(
-            initial.clone(),
-            BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(23).build(),
-        )
-        .unwrap();
+        let mut index = NnCellIndex::build(initial.clone(), BuildConfig::default()).unwrap();
         let mut live: Vec<(usize, Point)> =
             initial.iter().cloned().enumerate().collect();
         // Interleave inserts and removals.

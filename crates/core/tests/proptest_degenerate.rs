@@ -1,12 +1,13 @@
 //! Property tests for degenerate inputs: geometry that breaks naive LP
 //! pipelines (collinear sites, constant coordinates, one dimension) and
 //! inputs the validation layer must handle (exact duplicates). In every
-//! case the index either returns a typed error or agrees with a linear
-//! scan — never a panic, never a wrong answer.
+//! case the index — and the NN-cells built from it — either returns a
+//! typed error or agrees with a linear scan: never a panic, never a wrong
+//! answer.
 
 use nncell_core::{
-    linear_scan_nn, BuildConfig, BuildError, InputPolicy, NnCellIndex, Query, QueryEngine,
-    Strategy as BuildStrategy,
+    linear_scan_nn, BuildConfig, BuildError, CellConfig, CellSet, InputPolicy, NnCellIndex, Query,
+    QueryEngine, Strategy as BuildStrategy,
 };
 use nncell_geom::{dist_sq, Point};
 use proptest::prelude::*;
@@ -17,6 +18,18 @@ fn nn(idx: &NnCellIndex, q: &[f64]) -> Option<nncell_core::QueryResult> {
         .execute(&Query::nn(q))
         .ok()
         .map(|r| r.best)
+}
+
+/// An index over `pts` with its NN-cells built under `cfg`.
+fn with_cells(pts: &[Point], cfg: CellConfig) -> (NnCellIndex, CellSet) {
+    let index = NnCellIndex::build(pts.to_vec(), BuildConfig::default()).unwrap();
+    let cells = CellSet::build(&index, cfg);
+    (index, cells)
+}
+
+/// A seeded config for `strategy`.
+fn cell_cfg(strategy: BuildStrategy, seed: u64) -> CellConfig {
+    CellConfig::builder().strategy(strategy).seed(seed).build()
 }
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -45,9 +58,9 @@ proptest! {
     ) {
         let pts: Vec<Point> = xs.iter().map(|&x| Point::new(vec![x])).collect();
         let strategy = BuildStrategy::ALL[strat_pick];
-        let index = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(strategy).seed(5).build()).unwrap();
+        let (index, cells) = with_cells(&pts, cell_cfg(strategy, 5));
         for &q in &queries {
-            let got = nn(&index, &[q]).unwrap();
+            let got = cells.nn(&index, &[q]).unwrap();
             let want = linear_scan_nn(&pts, &[q]).unwrap();
             prop_assert!(
                 (got.dist - want.dist).abs() < 1e-9,
@@ -72,14 +85,13 @@ proptest! {
             .iter()
             .map(|&t| Point::new((0..3).map(|i| a[i] + t * (b[i] - a[i])).collect::<Vec<_>>()))
             .collect();
-        let mut cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(6);
+        let mut cfg = CellConfig::builder().strategy(BuildStrategy::Sphere).seed(6);
         if decompose {
             cfg = cfg.decompose_pieces(3);
         }
-        let cfg = cfg.build();
-        let index = NnCellIndex::build(pts.clone(), cfg).unwrap();
+        let (index, cells) = with_cells(&pts, cfg.build());
         for q in &queries {
-            let got = nn(&index, q).unwrap();
+            let got = cells.nn(&index, q).unwrap();
             let want = linear_scan_nn(&pts, q).unwrap();
             prop_assert!(
                 (got.dist - want.dist).abs() < 1e-9,
@@ -106,9 +118,9 @@ proptest! {
         pts.dedup_by(|p, q| dist_sq(p, q) <= 1e-12);
         prop_assume!(pts.len() >= 2);
         let strategy = BuildStrategy::ALL[strat_pick];
-        let index = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(strategy).seed(8).build()).unwrap();
+        let (index, cells) = with_cells(&pts, cell_cfg(strategy, 8));
         for q in &queries {
-            let got = nn(&index, q).unwrap();
+            let got = cells.nn(&index, q).unwrap();
             let want = linear_scan_nn(&pts, q).unwrap();
             prop_assert!(
                 (got.dist - want.dist).abs() < 1e-9,
@@ -140,7 +152,7 @@ proptest! {
         }
 
         // Default policy: typed rejection naming the duplicate.
-        match NnCellIndex::build(with_dups.clone(), BuildConfig::builder().strategy(BuildStrategy::Sphere).build()) {
+        match NnCellIndex::build(with_dups.clone(), BuildConfig::default()) {
             Err(BuildError::DuplicatePoint { id, of }) => {
                 prop_assert!(id >= base.len() && of < id);
                 prop_assert_eq!(
@@ -155,7 +167,7 @@ proptest! {
         // Skip policy: duplicates recorded and dropped, result exact.
         let index = NnCellIndex::build(
             with_dups,
-            BuildConfig::builder().strategy(BuildStrategy::Sphere).input_policy(InputPolicy::Skip).build(),
+            BuildConfig::builder().input_policy(InputPolicy::Skip).build(),
         )
         .unwrap();
         prop_assert_eq!(index.build_stats().skipped_points, n_dups);

@@ -8,7 +8,7 @@
 
 use nncell_core::{
     linear_scan_knn, BuildConfig, FoldConfig, NnCellIndex, Query, QueryEngine, QueryResponse,
-    ShardedIndex, Strategy as BuildStrategy,
+    ShardedIndex,
 };
 use nncell_geom::{dist, dist_sq, Point};
 use proptest::prelude::*;
@@ -67,7 +67,7 @@ proptest! {
         shards in 1usize..=4,
         k in 1usize..=6,
     ) {
-        let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(7).build();
+        let cfg = BuildConfig::default();
         let whole = NnCellIndex::build(pts.clone(), cfg.clone()).unwrap();
         let engine = QueryEngine::sequential(&whole);
         let sharded = ShardedIndex::build(pts.clone(), shards, cfg).unwrap();
@@ -103,7 +103,7 @@ proptest! {
         // Build from a prefix, insert the rest dynamically: global ids must
         // still equal input positions and answers must match a fresh
         // unsharded build of the full set.
-        let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(11).build();
+        let cfg = BuildConfig::default();
         let split = pts.len() / 2;
         let sharded =
             ShardedIndex::build(pts[..split].to_vec(), shards, cfg.clone()).unwrap();
@@ -140,7 +140,7 @@ fn single_shard_fallback_counts_match_unsharded() {
     let pts: Vec<Point> = (0..6)
         .map(|i| Point::new(vec![i as f64 / 8.0, (i * 3 % 7) as f64 / 8.0]))
         .collect();
-    let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(5).build();
+    let cfg = BuildConfig::default();
     let whole = NnCellIndex::build(pts.clone(), cfg.clone()).unwrap();
     let engine = QueryEngine::sequential(&whole);
     let sharded = ShardedIndex::build(pts.clone(), 1, cfg).unwrap();
@@ -172,7 +172,7 @@ fn grid_point(i: usize) -> Point {
 #[test]
 fn save_load_round_trips_through_a_manifest() {
     let pts: Vec<Point> = (0..17).map(grid_point).collect();
-    let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(9).build();
+    let cfg = BuildConfig::default();
     let sharded = ShardedIndex::build(pts.clone(), 3, cfg).unwrap();
     let dir = std::env::temp_dir().join(format!("nncell_shard_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -203,7 +203,7 @@ fn durable_shards_recover_acknowledged_updates() {
     let fault = FaultVfs::new(FaultSchedule::none(11));
     let vfs: Arc<dyn Vfs> = Arc::new(fault.clone());
     let dir = PathBuf::from("/db");
-    let cfg = || BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(13).build();
+    let cfg = || BuildConfig::default();
 
     let sharded =
         ShardedIndex::open_durable_with_vfs(Arc::clone(&vfs), &dir, 2, 3, cfg()).unwrap();
@@ -255,7 +255,7 @@ fn queries_run_concurrently_with_inserts() {
         .map(|_| Point::new(vec![coord(), coord(), coord()]))
         .collect();
 
-    let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(3).build();
+    let cfg = BuildConfig::default();
     let sharded = ShardedIndex::build(pts[..8].to_vec(), 3, cfg).unwrap();
     let stop = AtomicBool::new(false);
     // Tail acks outrun thread startup; the barrier makes every reader
@@ -447,7 +447,7 @@ fn assert_remove_during_query_parity(idx: &ShardedIndex, pts: &[Point], n_remove
 #[test]
 fn removes_race_queries_with_linear_scan_parity() {
     let pts = lcg_points(160, 0x5eed_0007);
-    let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(3).build();
+    let cfg = BuildConfig::default();
     let sharded = ShardedIndex::build(pts.clone(), 3, cfg).unwrap();
     assert_remove_during_query_parity(&sharded, &pts, 150);
 }
@@ -455,7 +455,7 @@ fn removes_race_queries_with_linear_scan_parity() {
 #[test]
 fn removes_race_queries_through_the_memtable_tail() {
     let pts = lcg_points(160, 0x5eed_0011);
-    let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(3).build();
+    let cfg = BuildConfig::default();
     // Seed the cells with a prefix, push the rest through the tail, then
     // race the same removal storm against a live folder: the merge must
     // stay indistinguishable from a fully built index.

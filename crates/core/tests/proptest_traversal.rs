@@ -11,7 +11,7 @@
 
 use nncell_core::{
     linear_scan_knn, BuildConfig, NnCellIndex, Query, QueryEngine, QueryError, QueryResponse,
-    Strategy as BuildStrategy,
+    ShardedIndex,
 };
 use nncell_geom::{dist, dist_sq, Point};
 use proptest::prelude::*;
@@ -44,14 +44,7 @@ fn lattice_points(d: usize, min: usize, max: usize) -> impl Strategy<Value = Vec
 }
 
 fn build(pts: Vec<Point>) -> NnCellIndex {
-    NnCellIndex::build(
-        pts,
-        BuildConfig::builder()
-            .strategy(BuildStrategy::Sphere)
-            .seed(7)
-            .build(),
-    )
-    .unwrap()
+    NnCellIndex::build(pts, BuildConfig::default()).unwrap()
 }
 
 /// Exact equality including the distance **bits** — the contract is
@@ -156,6 +149,71 @@ proptest! {
             }
             Err(QueryError::EmptyRadius) => assert!(want.is_empty(), "ball was not empty"),
             Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+}
+
+/// Fine-grid coordinates (1/1000 steps): few exact ties, unlike the lattice.
+fn coord() -> impl Strategy<Value = f64> {
+    (0..=1000u32).prop_map(|v| v as f64 / 1000.0)
+}
+
+fn point_set(d: usize, min: usize, max: usize) -> impl Strategy<Value = Vec<Point>> {
+    prop::collection::vec(prop::collection::vec(coord(), d), min..max).prop_filter_map(
+        "distinct points",
+        |pts| {
+            for (i, p) in pts.iter().enumerate() {
+                for q in pts.iter().skip(i + 1) {
+                    if dist_sq(p, q) <= 1e-9 {
+                        return None;
+                    }
+                }
+            }
+            Some(pts.into_iter().map(Point::new).collect())
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// `Query::radius` against a linear scan, on the unsharded and the
+    /// sharded surface: same ids, bit-equal distances, ascending
+    /// `(dist, id)`; an empty ball is the typed `EmptyRadius`.
+    #[test]
+    fn radius_matches_linear_scan(
+        pts in point_set(3, 5, 40),
+        centers in prop::collection::vec(prop::collection::vec(coord(), 3), 4),
+        r_milli in 0u32..900,
+    ) {
+        let r = r_milli as f64 / 1000.0;
+        let idx = build(pts.clone());
+        let engine = QueryEngine::sequential(&idx);
+        let sharded = ShardedIndex::build(pts.clone(), 3, BuildConfig::default()).unwrap();
+        for c in &centers {
+            let mut want = linear_scan_knn(&pts, c, pts.len());
+            want.retain(|x| x.dist <= r);
+            let got = engine.execute(&Query::radius(c.clone(), r));
+            let got_sharded = sharded.query(&Query::radius(c.clone(), r));
+            if want.is_empty() {
+                prop_assert_eq!(got.unwrap_err(), QueryError::EmptyRadius);
+                prop_assert_eq!(got_sharded.unwrap_err(), QueryError::EmptyRadius);
+                continue;
+            }
+            let want_ids: Vec<(usize, u64)> =
+                want.iter().map(|x| (x.id, x.dist.to_bits())).collect();
+            let got_ids: Vec<(usize, u64)> = got
+                .unwrap()
+                .iter()
+                .map(|x| (x.id, x.dist.to_bits()))
+                .collect();
+            prop_assert_eq!(&want_ids, &got_ids, "unsharded ball at {:?} r={}", c, r);
+            let shard_ids: Vec<(usize, u64)> = got_sharded
+                .unwrap()
+                .iter()
+                .map(|x| (x.id, x.dist.to_bits()))
+                .collect();
+            prop_assert_eq!(&want_ids, &shard_ids, "sharded ball at {:?} r={}", c, r);
         }
     }
 }

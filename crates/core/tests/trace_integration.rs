@@ -5,7 +5,7 @@
 //! threads, and the WAL append on the write path. Slow-query entries
 //! must carry the trace id as an exemplar.
 
-use nncell_core::{BuildConfig, NnCellIndex, Query, Registry, ShardedIndex, Strategy};
+use nncell_core::{BuildConfig, NnCellIndex, Query, Registry, ShardedIndex};
 use nncell_geom::Point;
 use nncell_obs::trace;
 use nncell_obs::SpanContext;
@@ -23,7 +23,7 @@ fn grid(n: usize) -> Vec<Point> {
 }
 
 fn cfg() -> BuildConfig {
-    BuildConfig::builder().strategy(Strategy::Sphere).seed(11).build()
+    BuildConfig::default()
 }
 
 /// Spans recorded for one trace, oldest-first.

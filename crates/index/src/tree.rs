@@ -1114,108 +1114,6 @@ impl Tree {
         out
     }
 
-    /// Budgeted best-first k-nearest-neighbor probe.
-    ///
-    /// Identical to [`Self::knn_best_first`] while the page budget lasts;
-    /// once `page_budget` node expansions have been spent, no further pages
-    /// are opened and the best already-discovered items are drained instead.
-    /// The second return value is `true` iff the result is **provably
-    /// exact** — the search terminated the way the exact algorithm does
-    /// (k items popped before any closer page, or the whole queue drained)
-    /// without ever skipping a page.
-    ///
-    /// With `page_budget == usize::MAX` this *is* the exact search. The
-    /// probe is deterministic for a given tree shape, which the NN-cell
-    /// build relies on (parallel and sequential builds must agree).
-    pub fn approx_knn(&self, q: &[f64], k: usize, page_budget: usize) -> (Vec<Neighbor>, bool) {
-        #[derive(PartialEq)]
-        struct Item {
-            key: f64,
-            target: Result<PageId, (ItemId, f64)>,
-        }
-        impl Eq for Item {}
-        impl PartialOrd for Item {
-            fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-                Some(self.cmp(o))
-            }
-        }
-        impl Ord for Item {
-            fn cmp(&self, o: &Self) -> Ordering {
-                // min-heap by key
-                o.key.partial_cmp(&self.key).unwrap_or(Ordering::Equal)
-            }
-        }
-
-        let mut out = Vec::new();
-        if self.len == 0 || k == 0 {
-            return (out, true);
-        }
-        let mut heap: BinaryHeap<Item> = BinaryHeap::new();
-        heap.push(Item {
-            key: 0.0,
-            target: Ok(self.root),
-        });
-        let mut kth: BinaryHeap<OrderedF64> = BinaryHeap::new();
-        let bound = |kth: &BinaryHeap<OrderedF64>| {
-            if kth.len() == k {
-                kth.peek().map(|b| b.0).unwrap_or(f64::INFINITY)
-            } else {
-                f64::INFINITY
-            }
-        };
-        let mut pages_left = page_budget;
-        let mut skipped_page = false;
-        while let Some(it) = heap.pop() {
-            self.cost.cpu(1);
-            match it.target {
-                Err((id, d2)) => {
-                    out.push(Neighbor {
-                        id,
-                        dist: d2.sqrt(),
-                    });
-                    if out.len() == k {
-                        break;
-                    }
-                }
-                Ok(page) => {
-                    if pages_left == 0 {
-                        // Budget spent: drop the page (and with it
-                        // exactness) and keep draining discovered items.
-                        skipped_page = true;
-                        continue;
-                    }
-                    pages_left -= 1;
-                    self.touch(page);
-                    let n = self.node(page);
-                    self.cost.cpu(n.entries.len() as u64);
-                    for e in &n.entries {
-                        let d2 = e.mbr.min_dist_sq(q);
-                        if d2 > bound(&kth) {
-                            continue;
-                        }
-                        match e.payload {
-                            Payload::Item(id) => {
-                                if kth.len() == k {
-                                    kth.pop();
-                                }
-                                kth.push(OrderedF64(d2));
-                                heap.push(Item {
-                                    key: d2,
-                                    target: Err((id, d2)),
-                                });
-                            }
-                            Payload::Child(c) => heap.push(Item {
-                                key: d2,
-                                target: Ok(c),
-                            }),
-                        }
-                    }
-                }
-            }
-        }
-        (out, !skipped_page)
-    }
-
     /// Branch-and-bound depth-first nearest-neighbor search \[RKV 95\], with
     /// MINDIST ordering and MINDIST/MINMAXDIST pruning.
     pub fn nn_branch_bound(&self, q: &[f64]) -> Option<Neighbor> {
@@ -1476,32 +1374,6 @@ mod tests {
         assert!(t.nn_best_first(&[0.5, 0.5]).is_none());
         assert!(t.nn_branch_bound(&[0.5, 0.5]).is_none());
         assert!(t.knn_best_first(&[0.5, 0.5], 3).is_empty());
-    }
-
-    #[test]
-    fn approx_knn_unbounded_is_exact_and_flags_budgeted_runs() {
-        let pts = points(600, 6, 9);
-        let t = build(SplitPolicy::XTree, &pts);
-        let queries = points(25, 6, 10);
-        for q in &queries {
-            let exact = t.knn_best_first(q, 8);
-            let (unbounded, proven) = t.approx_knn(q, 8, usize::MAX);
-            assert!(proven, "unbounded probe must prove exactness");
-            assert_eq!(
-                exact.iter().map(|n| n.id).collect::<Vec<_>>(),
-                unbounded.iter().map(|n| n.id).collect::<Vec<_>>()
-            );
-            // A starved probe still returns *something* it discovered,
-            // sorted ascending, and admits it may be inexact.
-            let (starved, starved_proven) = t.approx_knn(q, 8, 1);
-            assert!(!starved_proven || starved.len() == 8);
-            for w in starved.windows(2) {
-                assert!(w[0].dist <= w[1].dist + 1e-12);
-            }
-            for n in &starved {
-                assert!((dist_sq(q, &pts[n.id as usize]).sqrt() - n.dist).abs() < 1e-9);
-            }
-        }
     }
 
     #[test]

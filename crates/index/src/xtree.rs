@@ -168,8 +168,7 @@ mod tests {
         t.insert_point(&[0.123, 0.456, 0.789], 400);
         assert_eq!(t.len(), 401);
         t.validate();
-        let (nn, proven) = t.approx_knn(&[0.123, 0.456, 0.789], 1, usize::MAX);
-        assert!(proven);
+        let nn = t.knn_best_first(&[0.123, 0.456, 0.789], 1);
         assert_eq!(nn[0].id, 400);
     }
 

@@ -41,7 +41,7 @@ pub mod simplex;
 pub mod voronoi;
 
 pub use problem::{Lp, LpBudget, LpError, LpResult, SolverKind};
-pub use voronoi::{cell_mbr, CellLpStats, CellSolve, LpMetrics, VoronoiLp};
+pub use voronoi::{cell_mbr, CellLpStats, CellSolve, VoronoiLp};
 
 /// Feasibility / optimality tolerance shared by all backends.
 ///

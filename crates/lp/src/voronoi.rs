@@ -104,40 +104,6 @@ pub struct CellSolve {
     pub stats: CellLpStats,
 }
 
-/// Registry handles for live LP-chain instrumentation. Cheap to clone
-/// (shared `Arc` handles), so worker threads cloning the solver all
-/// record into the same counters.
-///
-/// These cover what [`CellLpStats`] does not: *per-attempt* and
-/// *per-depth* detail of the escalation chain. The aggregate counters
-/// that mirror `CellLpStats` (`lp_calls`, `fallback_lps`,
-/// `clamped_extents`) are exported by the index layer from its
-/// accumulated stats, so the two surfaces always agree.
-#[derive(Clone, Debug)]
-pub struct LpMetrics {
-    /// `nncell_lp_solver_attempts_total` — one per backend invocation,
-    /// successful or not.
-    pub solver_attempts: std::sync::Arc<nncell_obs::Counter>,
-    /// `nncell_lp_fallback_depth` — per extent LP, how many fallback
-    /// backends ran after the primary (0 = primary solved it; the chain
-    /// length + 1 marks exhaustion → data-space clamp).
-    pub fallback_depth: std::sync::Arc<nncell_obs::Histogram>,
-    /// `nncell_lp_clamp_events_total` — extents degraded to the
-    /// data-space bound.
-    pub clamps: std::sync::Arc<nncell_obs::Counter>,
-}
-
-impl LpMetrics {
-    /// Registers the LP-chain metrics under their `nncell_lp_…` names.
-    pub fn register(registry: &nncell_obs::Registry) -> Self {
-        Self {
-            solver_attempts: registry.counter("nncell_lp_solver_attempts_total"),
-            fallback_depth: registry.histogram("nncell_lp_fallback_depth"),
-            clamps: registry.counter("nncell_lp_clamp_events_total"),
-        }
-    }
-}
-
 /// The cell-extent solver: metric + data space + LP backend + work budget.
 #[derive(Clone, Debug)]
 pub struct VoronoiLp<M: Metric> {
@@ -145,8 +111,6 @@ pub struct VoronoiLp<M: Metric> {
     space: DataSpace,
     solver: SolverKind,
     budget: LpBudget,
-    /// Live chain instrumentation; `None` (the default) records nothing.
-    metrics: Option<LpMetrics>,
 }
 
 /// Outcome of one extent LP after the full fallback chain.
@@ -166,14 +130,7 @@ impl<M: Metric> VoronoiLp<M> {
             space,
             solver,
             budget: LpBudget::DEFAULT,
-            metrics: None,
         }
-    }
-
-    /// Attaches live chain instrumentation (solver attempts, fallback
-    /// depth, clamp events). Clones of this solver share the handles.
-    pub fn set_metrics(&mut self, metrics: LpMetrics) {
-        self.metrics = Some(metrics);
     }
 
     /// Overrides the per-LP work budget (see [`LpBudget`]). A tiny budget
@@ -269,19 +226,8 @@ impl<M: Metric> VoronoiLp<M> {
         dual_prob: Option<&dual::DualProblem>,
         stats: &mut CellLpStats,
     ) -> ChainOutcome {
-        // Inert unless the calling thread is inside a sampled trace
-        // (refine-on-insert under a traced server request, or a manual
-        // fold); build-time LP floods are untraced by default.
-        let mut span = nncell_obs::trace::child("lp.solve_chain");
         let primary = self.resolve_primary(lp.num_constraints(), start.is_some());
-        if let Some(m) = &self.metrics {
-            m.solver_attempts.inc();
-        }
         if let Ok(r) = self.attempt(primary, lp, seed, start, dual_prob) {
-            if let Some(m) = &self.metrics {
-                m.fallback_depth.record(0);
-            }
-            span.arg("depth", 0);
             return ChainOutcome::Solved(r);
         }
         // Escalation order: randomized incremental first (immune to pivot
@@ -293,31 +239,15 @@ impl<M: Metric> VoronoiLp<M> {
             SolverKind::Simplex,
             SolverKind::DualSimplex,
         ];
-        let mut depth = 0u64;
         for kind in escalation {
             if kind == primary || (kind == SolverKind::ActiveSet && start.is_none()) {
                 continue;
             }
-            depth += 1;
-            if let Some(m) = &self.metrics {
-                m.solver_attempts.inc();
-            }
             if let Ok(r) = self.attempt(kind, lp, seed, start, dual_prob) {
                 stats.fallback_lps += 1;
-                if let Some(m) = &self.metrics {
-                    m.fallback_depth.record(depth);
-                }
-                span.arg("depth", depth);
                 return ChainOutcome::Solved(r);
             }
         }
-        // Exhaustion: one past the deepest attempted fallback, so clamps
-        // are distinguishable from a last-backend save in the histogram.
-        if let Some(m) = &self.metrics {
-            m.fallback_depth.record(depth + 1);
-        }
-        span.arg("depth", depth + 1);
-        span.arg("exhausted", 1);
         ChainOutcome::Exhausted
     }
 
@@ -351,54 +281,12 @@ impl<M: Metric> VoronoiLp<M> {
                 let hi: Vec<f64> = (0..d).map(|i| self.space.hi(i)).collect();
                 let mut stats = CellLpStats::default();
                 stats.clamped_extents += 2 * d;
-                if let Some(m) = &self.metrics {
-                    m.clamps.add(2 * d as u64);
-                }
                 CellSolve {
                     mbr: Mbr::new(lo, hi),
                     vertices: Vec::new(),
                     stats,
                 }
             })
-    }
-
-    /// Pool-aware solver entry for the sub-quadratic build: runs the `2·d`
-    /// extent LPs against a *candidate pool* of constraints (typically the
-    /// bisectors of a point's approximate k-nearest neighbors) and reports
-    /// whether the outcome indicates the pool was too tight for a clean
-    /// solve.
-    ///
-    /// The second return value is `true` when the solve was degenerate —
-    /// infeasible (numerical contradiction forced the warm-started rescue)
-    /// or any extent clamped to the data space. Lemma 1 keeps even the
-    /// degenerate result a valid superset, so the caller may *use* it; the
-    /// flag exists so the build can retry the cell against the exhaustive
-    /// pool instead of shipping a data-space-fat approximation.
-    ///
-    /// `solver` selects which entry runs: active-set backends need the
-    /// feasible `start` (the cell's own data point); every other backend
-    /// starts cold and falls back to the warm start only on contradiction.
-    pub fn extents_pooled(
-        &self,
-        pool: &[Halfspace],
-        start: &[f64],
-        solver: SolverKind,
-        seed: u64,
-    ) -> (CellSolve, bool) {
-        if solver == SolverKind::ActiveSet {
-            let solve = self.extents_from(pool, start, seed);
-            let degenerate = solve.stats.clamped_extents > 0;
-            return (solve, degenerate);
-        }
-        match self.extents(pool, seed) {
-            Some(solve) => {
-                let degenerate = solve.stats.clamped_extents > 0;
-                (solve, degenerate)
-            }
-            // "Infeasible" for a cell that provably contains its own data
-            // point: numerical contradiction, the strongest too-tight signal.
-            None => (self.extents_from(pool, start, seed), true),
-        }
     }
 
     fn extents_impl(
@@ -451,9 +339,6 @@ impl<M: Metric> VoronoiLp<M> {
                         // superset of the true extent (Lemma 1), so the
                         // approximation stays valid — just fatter.
                         stats.clamped_extents += 1;
-                        if let Some(m) = &self.metrics {
-                            m.clamps.inc();
-                        }
                         if dir < 0.0 {
                             lo[i] = self.space.lo(i);
                         } else {
@@ -620,42 +505,6 @@ mod tests {
         assert!((mbr.hi()[0] - 2.0 / 3.0).abs() < 1e-8);
         assert!((mbr.lo()[1] - 1.0 / 3.0).abs() < 1e-8);
         assert!((mbr.hi()[1] - 2.0 / 3.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn pooled_entry_matches_plain_extents_on_clean_solves() {
-        // A well-conditioned pool: the pooled entry must agree with the
-        // plain extents solve bit-for-bit and report "not degenerate".
-        for kind in [SolverKind::Simplex, SolverKind::Seidel, SolverKind::ActiveSet] {
-            let s = solver(2, kind);
-            let p = [0.25, 0.5];
-            let pool = s.bisectors(&p, [&[0.75, 0.5][..], &[0.25, 0.1][..]]);
-            let (solve, degenerate) = s.extents_pooled(&pool, &p, kind, 11);
-            assert!(!degenerate, "{kind:?}: clean solve flagged degenerate");
-            let direct = if kind == SolverKind::ActiveSet {
-                s.extents_from(&pool, &p, 11)
-            } else {
-                s.extents(&pool, 11).unwrap()
-            };
-            assert_eq!(solve.mbr.lo(), direct.mbr.lo(), "{kind:?}");
-            assert_eq!(solve.mbr.hi(), direct.mbr.hi(), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn pooled_entry_flags_budget_starved_solves() {
-        // A zero work budget forces every extent through the fallback chain
-        // into the terminal clamp: still a valid superset, but the pooled
-        // entry must flag it so the build can retry exhaustively.
-        let s = solver(3, SolverKind::Seidel).with_budget(LpBudget::with_max_iterations(0));
-        let p = [0.4, 0.5, 0.6];
-        let pool = s.bisectors(&p, [&[0.9, 0.5, 0.6][..]]);
-        let (solve, degenerate) = s.extents_pooled(&pool, &p, SolverKind::Seidel, 0);
-        assert!(degenerate, "clamped solve must be flagged");
-        assert!(solve.stats.clamped_extents > 0);
-        // The clamp degrades to the data space — a superset of the cell.
-        assert_eq!(solve.mbr.lo(), &[0.0; 3][..]);
-        assert_eq!(solve.mbr.hi(), &[1.0; 3][..]);
     }
 
     #[test]

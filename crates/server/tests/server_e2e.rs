@@ -6,12 +6,12 @@
 
 use std::time::Duration;
 
-use nncell_core::{BuildConfig, NnCellIndex, Query, Registry, ShardedIndex, Strategy};
+use nncell_core::{BuildConfig, NnCellIndex, Query, Registry, ShardedIndex};
 use nncell_geom::Point;
 use nncell_server::{Client, ServeIndex, Server, ServerConfig, ServerHandle};
 
 fn cfg() -> BuildConfig {
-    BuildConfig::builder().strategy(Strategy::Sphere).seed(7).build()
+    BuildConfig::default()
 }
 
 /// Deterministic pseudo-random points (xorshift — `rand` stays a

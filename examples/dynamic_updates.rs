@@ -1,14 +1,15 @@
-//! Dynamic maintenance: the precomputed solution space supports inserts and
-//! removals (section 2 of the paper, citing Roos's dynamic Voronoi
-//! diagrams for the delete case) — and with the write-ahead log the
-//! updates survive a crash, demonstrated at the end by dropping a durable
-//! index without a checkpoint and recovering it.
+//! Dynamic updates: inserts and removals are point-tree updates, and every
+//! query stays exact — and with the write-ahead log the updates survive a
+//! crash, demonstrated at the end by dropping a durable index without a
+//! checkpoint and recovering it. NN-cells, which the paper maintains on
+//! every update, are built offline from a snapshot instead
+//! (`CellSet::build`), so no write pays for them.
 //!
 //! ```sh
 //! cargo run --release --example dynamic_updates
 //! ```
 
-use nncell::core::{linear_scan_nn, BuildConfig, NnCellIndex, Query, ShardedIndex, Strategy};
+use nncell::core::{linear_scan_nn, BuildConfig, NnCellIndex, Query, ShardedIndex};
 use nncell::data::{ClusteredGenerator, Generator, UniformGenerator};
 use nncell::geom::Point;
 
@@ -23,11 +24,7 @@ fn main() {
         .collect();
 
     println!("initial build: {} points", initial.len());
-    let mut index = NnCellIndex::build(
-        initial.clone(),
-        BuildConfig::builder().strategy(Strategy::Sphere).seed(5).build(),
-    )
-    .expect("build");
+    let mut index = NnCellIndex::build(initial.clone(), BuildConfig::default()).expect("build");
     let mut reference: Vec<Point> = initial;
 
     println!("inserting {} clustered arrivals ...", arrivals.len());
@@ -55,7 +52,7 @@ fn main() {
         let want = linear_scan_nn(&survivors, q).unwrap();
         assert!(
             (got.dist - want.dist).abs() < 1e-9,
-            "stale cell after delete at q={q:?}"
+            "removed point answered at q={q:?}"
         );
     }
     println!(
@@ -64,29 +61,19 @@ fn main() {
         queries.len()
     );
 
-    let bs = index.build_stats();
-    println!(
-        "lifetime LP work: {} solves over {} constraints",
-        bs.lp.lp_calls, bs.lp.constraints
-    );
-
     // ---- Durability: journaled updates survive a crash. ----
     //
     // A durable index journals every write to its WAL (fsynced before the
-    // ack) and parks it in a small memtable tail; a folder later applies
-    // the tail to the cells. Build one over the survivors, apply more
+    // ack) and parks it in a small memtable tail; a folder later inserts
+    // the tail into the point tree. Build one over the survivors, apply more
     // updates — folding only some of them — then simulate a crash by
     // dropping the handle WITHOUT a checkpoint or close. Reopening replays
     // the journal and every query answer is unchanged.
     let dir = std::env::temp_dir().join(format!("nncell_dynamic_wal_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     println!("\nopening WAL-backed index at {} ...", dir.display());
-    let durable = ShardedIndex::build(
-        survivors.clone(),
-        1,
-        BuildConfig::builder().strategy(Strategy::Sphere).seed(5).build(),
-    )
-    .expect("build")
+    let durable = ShardedIndex::build(survivors.clone(), 1, BuildConfig::default())
+        .expect("build")
     .into_durable(&dir)
     .expect("create durable dir");
 
@@ -95,7 +82,7 @@ fn main() {
     for (i, p) in late_arrivals.iter().enumerate() {
         durable.insert(p.clone()).expect("journaled insert");
         if i == late_arrivals.len() / 2 {
-            durable.flush().expect("fold the tail into the cells");
+            durable.flush().expect("fold the tail into the point tree");
         }
     }
     assert!(durable.remove(first_new_id).expect("journaled remove"));

@@ -10,7 +10,7 @@
 //! cargo run --release --example image_retrieval
 //! ```
 
-use nncell::core::{BuildConfig, NnCellIndex, Query, Strategy};
+use nncell::core::{BuildConfig, CellConfig, CellSet, NnCellIndex, Strategy};
 use nncell::data::{FourierGenerator, Generator};
 use nncell::index::{LinearScan, XTree};
 use std::time::Instant;
@@ -29,14 +29,16 @@ fn main() {
         .map(|p| p.into_vec())
         .collect();
 
-    // Engine 1: NN-cell index (Sphere strategy + decomposition).
+    // Engine 1: NN-cells (Sphere strategy + decomposition), built from the
+    // serving index.
     let t0 = Instant::now();
-    let nncell = NnCellIndex::build(
-        points.clone(),
-        BuildConfig::builder().strategy(Strategy::Sphere).decompose_pieces(4).build(),
-    )
-    .expect("build failed");
-    println!("NN-cell index built in {:.2}s", t0.elapsed().as_secs_f64());
+    let index = NnCellIndex::build(points.clone(), BuildConfig::default()).expect("build failed");
+    let cfg = CellConfig::builder()
+        .strategy(Strategy::Sphere)
+        .decompose_pieces(4)
+        .build();
+    let cells = CellSet::build(&index, cfg);
+    println!("NN-cells built in {:.2}s", t0.elapsed().as_secs_f64());
 
     // Engine 2: X-tree over the raw points.
     let mut xtree = XTree::for_points(dim);
@@ -50,19 +52,15 @@ fn main() {
         scan.insert(p, i as u64);
     }
 
-    // Run the workload on all three engines. The NN-cell index goes through
-    // its batch engine — one warm scratch per worker thread.
-    let batch: Vec<Query> = queries.iter().map(|q| Query::nn(q.clone())).collect();
-    nncell.reset_stats();
+    // Run the workload on all three engines. The NN-cell query is the
+    // paper's: a point query on the cell tree, then refinement.
     let t = Instant::now();
-    let nncell_res: Vec<usize> = nncell
-        .engine()
-        .batch(&batch)
-        .into_iter()
-        .map(|r| r.expect("well-formed query").best.id)
+    let nncell_res: Vec<usize> = queries
+        .iter()
+        .map(|q| cells.nn(&index, q).expect("well-formed query").id)
         .collect();
     let nncell_time = t.elapsed().as_secs_f64();
-    let nncell_io = nncell.cell_tree_stats();
+    let nncell_io = cells.cell_tree_stats();
 
     xtree.reset_stats();
     let t = Instant::now();

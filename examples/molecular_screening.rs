@@ -13,7 +13,7 @@
 //! cargo run --release --example molecular_screening
 //! ```
 
-use nncell::core::{BuildConfig, NnCellIndex, Query, Strategy};
+use nncell::core::{BuildConfig, CellConfig, CellSet, NnCellIndex, Query, Strategy};
 use nncell::data::{ClusteredGenerator, Generator};
 use nncell::geom::{Metric, Point, WeightedEuclidean};
 
@@ -27,16 +27,18 @@ fn main() {
     println!("compound library: {library_size} shape descriptors (d={dim}, 12 series)");
     let library = ClusteredGenerator::new(dim, 12, 0.04).generate(library_size, 7);
 
-    let index = NnCellIndex::build_with_metric(
-        library.clone(),
-        BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(3).build(),
-        metric.clone(),
-    )
-    .expect("build");
+    let index = NnCellIndex::build_with_metric(library.clone(), BuildConfig::default(), metric.clone())
+        .expect("build");
+    let cfg = CellConfig::builder()
+        .strategy(Strategy::CorrectPruned)
+        .seed(3)
+        .build();
+    let cells = CellSet::build(&index, cfg);
     println!(
-        "index built in {:.2}s ({} LPs)",
+        "index built in {:.3}s; weighted NN-cells in {:.2}s ({} LPs)",
         index.build_stats().seconds,
-        index.build_stats().lp.lp_calls
+        cells.stats().seconds,
+        cells.stats().lp.lp_calls
     );
 
     // Probes: perturbed library compounds (an analog search) plus novel
@@ -60,6 +62,8 @@ fn main() {
             .map(|(i, _)| i)
             .unwrap();
         assert_eq!(hit.id, want, "weighted NN must match the scan");
+        let by_cells = cells.nn(&index, probe.as_slice()).expect("well-formed probe");
+        assert_eq!(by_cells.id, want, "the weighted cell query must match the scan");
         if hit.dist < 0.4 {
             hits_per_series += 1;
         }

@@ -7,7 +7,9 @@
 //! # writes nn_diagram_{uniform,grid,sparse}.svg to the working directory
 //! ```
 
-use nncell::core::{average_overlap, BuildConfig, CellApprox, NnCellIndex, Strategy};
+use nncell::core::{
+    average_overlap, BuildConfig, CellApprox, CellConfig, CellSet, NnCellIndex, Strategy,
+};
 use nncell::data::{Generator, GridGenerator, SparseGenerator, UniformGenerator};
 use std::fmt::Write as _;
 use std::fs;
@@ -21,14 +23,12 @@ fn main() {
     ];
 
     for (name, points) in cases {
-        let index = NnCellIndex::build(
-            points.clone(),
-            BuildConfig::builder().strategy(Strategy::Correct).decompose_pieces(4).build(),
-        )
-        .expect("build");
-        let cells: Vec<CellApprox> = (0..points.len())
-            .map(|i| index.cell(i).unwrap().clone())
-            .collect();
+        let index = NnCellIndex::build(points.clone(), BuildConfig::default()).expect("build");
+        let cfg = CellConfig::builder()
+            .strategy(Strategy::Correct)
+            .decompose_pieces(4)
+            .build();
+        let cells = CellSet::build(&index, cfg).live_cells();
         let overlap = average_overlap(&cells);
         // Exact cell polygons (figure 1's NN-diagram) for comparison.
         let raw: Vec<Vec<f64>> = points.iter().map(|p| p.as_slice().to_vec()).collect();

@@ -20,17 +20,17 @@
 //! ## Quickstart
 //!
 //! ```
-//! use nncell::core::{NnCellIndex, BuildConfig, Query, QueryError, Strategy};
+//! use nncell::core::{BuildConfig, CellConfig, CellSet, NnCellIndex, Query, QueryError, Strategy};
 //! use nncell::data::{UniformGenerator, Generator};
 //!
 //! let points = UniformGenerator::new(6).generate(500, 42);
-//! let index = NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(Strategy::Sphere).build()).unwrap();
+//! let index = NnCellIndex::build(points.clone(), BuildConfig::default()).unwrap();
 //!
 //! // The query engine is the query API: typed requests in, responses with
-//! // per-query statistics out.
+//! // per-query statistics out. It walks the point X-tree and is exact: it
+//! // matches a linear scan.
 //! let engine = index.engine();
 //! let hit = engine.execute(&Query::nn(vec![0.3; 6])).unwrap();
-//! // The NN-cell result is exact: it matches a linear scan.
 //! let scan = nncell::core::linear_scan_nn(&points, &[0.3; 6]).unwrap();
 //! assert_eq!(hit.best, scan);
 //! assert!(hit.stats.candidates >= 1);
@@ -45,30 +45,34 @@
 //!     engine.execute(&Query::nn(vec![0.5])).unwrap_err(),
 //!     QueryError::DimMismatch { expected: 6, got: 1 }
 //! );
+//!
+//! // The paper's NN-cells are built offline from an index; a point query
+//! // on them answers exactly as well (Lemma 2).
+//! let cells = CellSet::build(&index, CellConfig::builder().strategy(Strategy::Sphere).build());
+//! assert_eq!(cells.nn(&index, &[0.3; 6]), Some(scan));
 //! ```
 //!
-//! Everything configurable hangs off [`core::BuildConfig`]: the
-//! constraint-selection [`core::Strategy`], the LP backend, cell
-//! decomposition, threads for the build phase, and insert-time refinement.
-//! Built indexes persist with `index.save(path)` /
-//! [`core::NnCellIndex::load`] (no LP reruns on load), support dynamic
-//! [`core::NnCellIndex::insert`] / [`core::NnCellIndex::remove`], and work
-//! with any positive-diagonal weighted Euclidean metric
-//! ([`geom::WeightedEuclidean`]).
+//! The serving index is configured by [`core::BuildConfig`] (block size,
+//! invalid-input policy); NN-cell construction by [`core::CellConfig`]:
+//! the constraint-selection [`core::Strategy`], the LP backend, cell
+//! decomposition and worker threads. Indexes persist with
+//! `index.save(path)` / [`core::NnCellIndex::load`], support dynamic
+//! [`core::NnCellIndex::insert`] / [`core::NnCellIndex::remove`] (each one
+//! point-tree update), and work with any positive-diagonal weighted
+//! Euclidean metric ([`geom::WeightedEuclidean`]).
 //!
 //! Dynamic indexes can also run **crash-consistently**:
 //! [`core::ShardedIndex::open_durable`] journals every update to a
 //! write-ahead log (fsynced before acknowledgement), acknowledges it from
-//! a memtable tail that a background folder applies to the cells, and
-//! rotates snapshots atomically, so acknowledged updates survive
+//! a memtable tail that a background folder inserts into the point tree,
+//! and rotates snapshots atomically, so acknowledged updates survive
 //! `kill -9` — see `DESIGN.md` §9 and `tests/crash_recovery.rs`.
 //!
 //! The stack is observable end to end:
 //! [`core::NnCellIndex::attach_metrics`] wires query latency histograms,
-//! LP/tree/WAL counters, a build-phase profiler, and a slow-query ring
-//! into a lock-light [`core::Registry`] whose snapshots render Prometheus
-//! text or JSON — opt-in, allocation-free on the hot path (`DESIGN.md`
-//! §11).
+//! tree and WAL counters, and a slow-query ring into a lock-light
+//! [`core::Registry`] whose snapshots render Prometheus text or JSON —
+//! opt-in, allocation-free on the hot path (`DESIGN.md` §11).
 //!
 //! Runnable walkthroughs live in `examples/` (`quickstart`,
 //! `image_retrieval`, `molecular_screening`, `dynamic_updates`,
@@ -95,14 +99,14 @@ pub use nncell_core::Error;
 ///     geom::Point::new(vec![0.7, 0.8]),
 /// ];
 /// # // (the prelude also exports `Point` directly)
-/// let index = NnCellIndex::build(points, BuildConfig::builder().strategy(Strategy::Sphere).build()).unwrap();
+/// let index = NnCellIndex::build(points, BuildConfig::default()).unwrap();
 /// let hit = index.engine().execute(&Query::nn([0.25, 0.25])).unwrap();
 /// assert_eq!(hit.best.id, 0);
 /// ```
 pub mod prelude {
     pub use crate::geom;
     pub use nncell_core::{
-        BuildConfig, ConstraintPool, Error, NnCellIndex, Query, QueryEngine, QueryResponse,
+        BuildConfig, CellConfig, CellSet, Error, NnCellIndex, Query, QueryEngine, QueryResponse,
         Registry, ShardedIndex, Strategy,
     };
     pub use nncell_geom::Point;

@@ -19,9 +19,9 @@
 //! 3. answer every probe query identically to a linear scan over its own
 //!    live points (Lemma 1 exactness survives recovery).
 //!
-//! The sweeps cover one shard (the layout's directory initialization,
-//! plain and with the pooled build), two shards with every write left in
-//! the tail until shutdown, and three shards.
+//! The sweeps cover one shard (the layout's directory initialization),
+//! two shards with every write left in the tail until shutdown, and three
+//! shards.
 //!
 //! The fault schedule seed is fixed for reproducibility and overridable
 //! via `NNCELL_FAULT_SEED` (ci.sh pins it; set it locally to explore other
@@ -30,8 +30,7 @@
 use nncell::core::durable::DurableError;
 use nncell::core::vfs::{FaultSchedule, FaultVfs, Vfs};
 use nncell::core::{
-    linear_scan_nn, BuildConfig, ConstraintPool, FoldConfig, NnCellIndex, Query, ShardedIndex,
-    Strategy,
+    linear_scan_nn, BuildConfig, FoldConfig, NnCellIndex, Query, ShardedIndex,
 };
 use nncell::geom::Point;
 use rand::rngs::SmallRng;
@@ -49,18 +48,7 @@ fn fault_seed() -> u64 {
 }
 
 fn cfg() -> BuildConfig {
-    BuildConfig::builder().strategy(Strategy::Sphere).seed(7).build()
-}
-
-/// The sub-quadratic build path: approximate-neighbor constraint pools.
-/// Small `k` so the floors (`2d+1`) and the degeneracy fallback are both
-/// in play during the sweep.
-fn pooled_cfg() -> BuildConfig {
-    BuildConfig::builder()
-        .strategy(Strategy::Sphere)
-        .constraint_pool(ConstraintPool::ApproxKnn { k: 4 })
-        .seed(7)
-        .build()
+    BuildConfig::default()
 }
 
 #[derive(Clone, Debug)]
@@ -115,19 +103,18 @@ fn model_states(ops: &[Op]) -> Vec<Vec<Option<Point>>> {
     states
 }
 
-/// One sweep's shape: the index layout and build configuration, plus how
-/// often the workload folds the memtable tail (`None`: never before the
-/// final `close`, so every checkpoint re-journals the whole tail).
+/// One sweep's shape: the shard count, plus how often the workload folds
+/// the memtable tail (`None`: never before the final `close`, so every
+/// checkpoint re-journals the whole tail).
 #[derive(Clone, Copy)]
 struct Sweep {
     shards: usize,
-    cfg: fn() -> BuildConfig,
     fold_every: Option<usize>,
 }
 
 impl Sweep {
     fn open(&self, vfs: Arc<dyn Vfs>, dir: &Path) -> Result<ShardedIndex, nncell::core::PersistError> {
-        ShardedIndex::open_durable_with_vfs(vfs, dir, DIM, self.shards, (self.cfg)())
+        ShardedIndex::open_durable_with_vfs(vfs, dir, DIM, self.shards, cfg())
     }
 
     /// Runs the workload until completion or the first crash-induced
@@ -297,26 +284,9 @@ fn assert_queries_exact(idx: &ShardedIndex, tag: &str) {
 fn every_crash_point_recovers_a_prefix_consistent_index() {
     Sweep {
         shards: 1,
-        cfg,
         fold_every: Some(3),
     }
     .check_every_crash_point(fault_seed(), "/db", 28);
-}
-
-/// The same sweep over the **pooled** build path: every folded insert
-/// past the pool threshold computes its cell from an approximate-neighbor
-/// constraint pool (with the degeneracy fallback live), and incremental
-/// re-solve decides which existing cells refresh. Durability must be
-/// completely indifferent to how cells were computed — the WAL journals
-/// points, not cells.
-#[test]
-fn every_crash_point_recovers_with_pooled_build() {
-    Sweep {
-        shards: 1,
-        cfg: pooled_cfg,
-        fold_every: Some(3),
-    }
-    .check_every_crash_point(fault_seed().wrapping_add(0x9E37_79B9), "/db", 28);
 }
 
 /// Two shards, no fold before shutdown: every acked write lives only in
@@ -329,7 +299,6 @@ fn every_crash_point_recovers_with_pooled_build() {
 fn every_crash_point_recovers_a_prefix_consistent_sharded_index() {
     Sweep {
         shards: 2,
-        cfg,
         fold_every: None,
     }
     .check_every_crash_point(fault_seed().wrapping_mul(5), "/sharded-db", 18);
@@ -343,7 +312,6 @@ fn every_crash_point_recovers_a_prefix_consistent_sharded_index() {
 fn every_crash_point_recovers_the_memtable_write_path() {
     Sweep {
         shards: 3,
-        cfg,
         fold_every: Some(3),
     }
     .check_every_crash_point(fault_seed().wrapping_mul(11), "/memtable-db", 18);

@@ -2,8 +2,8 @@
 //! end-to-end flows, and failure paths.
 
 use nncell::core::{
-    linear_scan_knn, linear_scan_nn, BuildConfig, BuildError, InputPolicy, NnCellIndex,
-    PersistError, Query, QueryEngine, Strategy,
+    linear_scan_knn, linear_scan_nn, BuildConfig, BuildError, CellConfig, CellSet, InputPolicy,
+    NnCellIndex, PersistError, Query, QueryEngine, Strategy,
 };
 use nncell::data::{FourierGenerator, Generator, UniformGenerator};
 use nncell::geom::{Metric, Point, WeightedEuclidean};
@@ -34,9 +34,7 @@ fn persistence_roundtrip_preserves_exactness_and_updates() {
     let points = gen.generate(300, 700);
     let index = NnCellIndex::build(
         points.clone(),
-        BuildConfig::builder().strategy(Strategy::Sphere)
-            .decompose_pieces(4)
-            .seed(7).build(),
+        BuildConfig::default(),
     )
     .unwrap();
     let path = tmp("roundtrip");
@@ -44,7 +42,7 @@ fn persistence_roundtrip_preserves_exactness_and_updates() {
     let mut loaded = NnCellIndex::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
-    // Identical answers without any LP rerun.
+    // Identical answers after the reload.
     let mut all = points.clone();
     for q in gen.generate(60, 701) {
         let got = nn(&loaded, &q).unwrap();
@@ -68,7 +66,7 @@ fn knn_results_match_scan_ordering() {
     let gen = FourierGenerator::new(6);
     let points = gen.generate(400, 800);
     let index =
-        NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(Strategy::NnDirection).build()).unwrap();
+        NnCellIndex::build(points.clone(), BuildConfig::default()).unwrap();
     for q in gen.generate(20, 801) {
         let got = knn(&index, &q, 7);
         let want = linear_scan_knn(&points, &q, 7);
@@ -83,14 +81,18 @@ fn knn_results_match_scan_ordering() {
 fn weighted_metric_pipeline_with_decomposition() {
     let metric = WeightedEuclidean::new(vec![5.0, 1.0, 0.2]);
     let points = UniformGenerator::new(3).generate(250, 900);
-    let index = NnCellIndex::build_with_metric(
-        points.clone(),
-        BuildConfig::builder().strategy(Strategy::CorrectPruned).decompose_pieces(4).build(),
-        metric.clone(),
-    )
-    .unwrap();
+    let index =
+        NnCellIndex::build_with_metric(points.clone(), BuildConfig::default(), metric.clone())
+            .unwrap();
+    // Weighted bisectors are still hyperplanes: the cells stay exact.
+    let cfg = CellConfig::builder()
+        .strategy(Strategy::CorrectPruned)
+        .decompose_pieces(4)
+        .build();
+    let cells = CellSet::build(&index, cfg);
     for q in UniformGenerator::new(3).generate(60, 901) {
         let got = nn(&index, &q).unwrap();
+        assert_eq!(cells.nn(&index, &q), Some(got), "cell query vs engine at {q:?}");
         let want = points
             .iter()
             .enumerate()
@@ -109,11 +111,11 @@ fn weighted_metric_pipeline_with_decomposition() {
 #[test]
 fn corrupted_index_files_are_rejected_not_mislaoded() {
     let points = UniformGenerator::new(2).generate(50, 1000);
-    let index = NnCellIndex::build(points, BuildConfig::builder().strategy(Strategy::Point).build()).unwrap();
+    let index = NnCellIndex::build(points, BuildConfig::default()).unwrap();
     let path = tmp("corrupt");
     index.save(&path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
-    // Flip a byte inside the piece payload region.
+    // Flip a byte inside the point payload.
     let k = bytes.len() - 9;
     bytes[k] ^= 0xff;
     std::fs::write(&path, &bytes).unwrap();
@@ -136,14 +138,14 @@ fn duplicate_points_do_not_break_exactness() {
     let mut points = UniformGenerator::new(3).generate(80, 1100);
     points.push(points[10].clone());
     points.push(points[10].clone());
-    match NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(Strategy::Sphere).build()) {
+    match NnCellIndex::build(points.clone(), BuildConfig::default()) {
         Err(BuildError::DuplicatePoint { id: 80, of: 10 }) => {}
         Err(other) => panic!("expected DuplicatePoint {{ id: 80, of: 10 }}, got {other}"),
         Ok(_) => panic!("duplicate input accepted under the default Reject policy"),
     }
     let index = NnCellIndex::build(
         points.clone(),
-        BuildConfig::builder().strategy(Strategy::Sphere).input_policy(InputPolicy::Skip).build(),
+        BuildConfig::builder().input_policy(InputPolicy::Skip).build(),
     )
     .unwrap();
     assert_eq!(index.build_stats().skipped_points, 2);
@@ -161,13 +163,14 @@ fn duplicate_points_do_not_break_exactness() {
 fn single_point_database() {
     let index = NnCellIndex::build(
         vec![Point::new(vec![0.3, 0.7])],
-        BuildConfig::builder().strategy(Strategy::Correct).build(),
+        BuildConfig::default(),
     )
     .unwrap();
     let r = nn(&index, &[0.9, 0.1]).unwrap();
     assert_eq!(r.id, 0);
     // The lone cell must be the whole data space.
-    let cell = index.cell(0).unwrap();
+    let cells = CellSet::build(&index, CellConfig::builder().strategy(Strategy::Correct).build());
+    let cell = cells.cell(0).unwrap();
     assert!((cell.volume() - 1.0).abs() < 1e-9);
 }
 
@@ -175,7 +178,7 @@ fn single_point_database() {
 fn malformed_queries_return_none_not_panic() {
     let index = NnCellIndex::build(
         vec![Point::new(vec![0.3, 0.7]), Point::new(vec![0.6, 0.1])],
-        BuildConfig::builder().strategy(Strategy::Correct).build(),
+        BuildConfig::default(),
     )
     .unwrap();
     // Wrong dimension, NaN, and infinity have no meaningful answer; the

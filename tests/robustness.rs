@@ -5,7 +5,7 @@
 use nncell::core::vfs::StdVfs;
 use nncell::core::wal::{read_wal, WalRecord, WalTail, WalWriter};
 use nncell::core::{
-    linear_scan_nn, BuildConfig, NnCellIndex, PersistError, Query, QueryEngine, Strategy,
+    linear_scan_nn, BuildConfig, NnCellIndex, PersistError, Query, QueryEngine,
 };
 use nncell::data::{Generator, UniformGenerator};
 use nncell::geom::Point;
@@ -28,7 +28,7 @@ fn tmp(name: &str) -> std::path::PathBuf {
 
 /// 100+ mutated and truncated files: every load either returns a typed
 /// error or an index that answers a fixed query set identically to the
-/// original. (With the `NNCELL02` checksum the expected outcome is
+/// original. (With the `NNCELL03` checksum the expected outcome is
 /// `PersistError::Corrupt` for every mutation; the agreement check is the
 /// safety net that makes the property meaningful even if a mutation were
 /// to slip past.)
@@ -37,11 +37,7 @@ fn corrupted_index_files_never_panic_and_never_disagree() {
     let dim = 4;
     let gen = UniformGenerator::new(dim);
     let points = gen.generate(150, 900);
-    let index = NnCellIndex::build(
-        points.clone(),
-        BuildConfig::builder().strategy(Strategy::Sphere).decompose_pieces(3).build(),
-    )
-    .unwrap();
+    let index = NnCellIndex::build(points.clone(), BuildConfig::default()).unwrap();
     let queries: Vec<Vec<f64>> = gen
         .generate(40, 901)
         .into_iter()
@@ -218,12 +214,14 @@ fn pristine_file_roundtrips_exactly() {
     let dim = 4;
     let gen = UniformGenerator::new(dim);
     let points = gen.generate(120, 910);
-    let index = NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(Strategy::Point).build()).unwrap();
+    let index = NnCellIndex::build(points.clone(), BuildConfig::default()).unwrap();
     let path = tmp("pristine");
     index.save(&path).unwrap();
     let loaded = NnCellIndex::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    assert!(loaded.verify_integrity().is_ok());
+    for (id, p) in index.points().iter().enumerate() {
+        assert_eq!(loaded.points()[id].as_slice(), p.as_slice(), "point {id}");
+    }
     for q in gen.generate(40, 911) {
         let q = q.into_vec();
         assert_eq!(
