@@ -33,9 +33,24 @@ echo "== server robustness E2E (storm/shed, kill -9 recovery, SIGTERM drain) =="
 # 2x-capacity storm with 429s, SIGKILL mid-write-storm recovers every
 # acked insert bit-identically, SIGTERM drains and checkpoints leaving
 # zero WAL replay debt, a directory in the earlier unsharded layout
-# serves and takes writes, and `serve --tail-max 0` is refused.
+# serves and takes writes, and `serve --tail-max 0` is refused. Every
+# serving surface answers alike: `serve --index FILE` (a snapshot, one
+# shard) and `serve --index DIR` (a plain sharded directory) answer
+# /query bit-identically to `nncell query` on the same path and, not
+# being durable, refuse /insert and /remove with 403 read_only; `stats
+# --index FILE` reports the shard="0" series. The in-process suite adds
+# the split head/body shed test (a clean 429 then EOF, never a reset)
+# and the whole-request read deadline against a trickling client.
 cargo test -q -p nncell-cli --test server_e2e
 cargo test -q -p nncell-server
+
+echo "== one query path: tree walk vs linear scan (proptest) =="
+# Every finite query takes the point-tree walk — there is no scan
+# branch — so this proof carries the bit-identity claim: ids and
+# distance bits equal to the linear scan for k-NN and radius queries,
+# including centres outside the unit cube and k at or past the live
+# count, unsharded and sharded (S = 1, 3) with a non-empty memtable tail.
+cargo test -q -p nncell-core --test proptest_traversal
 
 echo "== NN-Direction one-pass gather vs brute-force oracle (proptest) =="
 # CellSet::build gathers each cell's NN-Direction rivals in one pruned tree

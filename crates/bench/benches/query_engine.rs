@@ -126,7 +126,6 @@ fn main() {
     let examined: usize = stats().map(|s| s.candidates_examined).sum();
     let aborted: usize = stats().map(|s| s.candidates_aborted_early).sum();
     let pruned: u64 = stats().map(|s| s.nodes_pruned).sum();
-    let fallbacks = stats().filter(|s| s.fallback).count();
     let seq_qps = n_q as f64 / seq_s;
     let par_qps = n_q as f64 / par_s;
     let obs_qps = n_q as f64 / obs_s;
@@ -142,8 +141,7 @@ fn main() {
     println!(
         "sequential: {seq_qps:.0} q/s — parallel ({threads} threads): {par_qps:.0} q/s \
          ({:.2}x) — {mean_cands:.1} candidates/query ({mean_examined:.1} examined, \
-         {mean_aborted:.1} aborted early, {mean_pruned:.1} subtrees pruned), \
-         {fallbacks} fallback(s)",
+         {mean_aborted:.1} aborted early, {mean_pruned:.1} subtrees pruned)",
         par_qps / seq_qps
     );
     println!(
@@ -158,8 +156,7 @@ fn main() {
          \"seq_qps_metrics\": {obs_qps:.2},\n  \"metrics_overhead\": {metrics_overhead:.4},\n  \
          \"speedup\": {:.4},\n  \"mean_candidates\": {mean_cands:.4},\n  \
          \"mean_examined\": {mean_examined:.4},\n  \"mean_aborted_early\": {mean_aborted:.4},\n  \
-         \"mean_nodes_pruned\": {mean_pruned:.4},\n  \
-         \"fallbacks\": {fallbacks},\n  \"bit_identical\": true\n}}\n",
+         \"mean_nodes_pruned\": {mean_pruned:.4},\n  \"bit_identical\": true\n}}\n",
         par_qps / seq_qps
     );
     std::fs::write(&out, json).expect("write bench json");

@@ -14,7 +14,7 @@
 //! nncell bench    --index idx.nncell --queries 200 --seed 7
 //! nncell stats    --index idx.nncell [--json | --prom | --slow]
 //! nncell stats    --server 127.0.0.1:8321
-//! nncell serve    (--index idx.nncell | --wal idx.db) [--addr HOST:PORT]
+//! nncell serve    (--wal idx.db | --index idx.nncell) [--addr HOST:PORT]
 //!                 [--threads 4] [--queue-depth 64] [--deadline-ms 2000]
 //! ```
 //!
@@ -187,18 +187,22 @@ fn cmd_build(p: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads a plain `--index` path: a sharded directory when it carries a
-/// sharded manifest, otherwise `None` for a single snapshot file.
-fn load_sharded_at(path: &str) -> Result<Option<ShardedIndex>, String> {
-    if ShardedIndex::manifest_shards(path).is_none() {
-        return Ok(None);
-    }
-    ShardedIndex::load(path).map(Some).map_err(|e| e.to_string())
-}
-
 /// Opens a `--wal` durable directory, sharded or in the unsharded layout.
 fn open_wal(dir: &str) -> Result<ShardedIndex, String> {
     ShardedIndex::open_durable_existing(dir).map_err(|e| e.to_string())
+}
+
+/// Opens the index a read command names: `--index PATH` (a snapshot file,
+/// which opens as one shard, or a plain sharded directory) or `--wal DIR`
+/// (a durable directory). Every surface is a [`ShardedIndex`], so every
+/// command answers through the same engine semantics, and a malformed
+/// query produces the same typed QueryError everywhere.
+fn open_index(p: &Parsed, cmd: &str) -> Result<ShardedIndex, String> {
+    match (p.get("index"), p.get("wal")) {
+        (Some(path), None) => ShardedIndex::load(path).map_err(|e| e.to_string()),
+        (None, Some(dir)) => open_wal(dir),
+        _ => Err(format!("{cmd} needs exactly one of --index FILE or --wal DIR")),
+    }
 }
 
 fn cmd_query(p: &Parsed) -> Result<(), String> {
@@ -217,22 +221,9 @@ fn cmd_query(p: &Parsed) -> Result<(), String> {
         }
         None => Query::knn(q, k),
     };
-    // Every surface (plain file, plain sharded directory, durable
-    // directory — the sharded flavors auto-detected from the on-disk
-    // manifest) routes through the same engine semantics, so a malformed
-    // query produces the same typed QueryError everywhere.
-    let resp = match (p.get("index"), p.get("wal")) {
-        (Some(file), None) => match load_sharded_at(file)? {
-            Some(sharded) => sharded.query(&query).map_err(|e| e.to_string())?,
-            None => NnCellIndex::load(file)
-                .map_err(|e| e.to_string())?
-                .engine()
-                .execute(&query)
-                .map_err(|e| e.to_string())?,
-        },
-        (None, Some(dir)) => open_wal(dir)?.query(&query).map_err(|e| e.to_string())?,
-        _ => return Err("query needs exactly one of --index FILE or --wal DIR".into()),
-    };
+    let resp = open_index(p, "query")?
+        .query(&query)
+        .map_err(|e| e.to_string())?;
     if k == 1 && p.get("radius").is_none() {
         println!(
             "nearest neighbor: #{} at distance {:.6}",
@@ -243,16 +234,9 @@ fn cmd_query(p: &Parsed) -> Result<(), String> {
             println!("{:>3}. #{} at distance {:.6}", rank + 1, r.id, r.dist);
         }
     }
-    let st = resp.stats;
     println!(
-        "stats: {} candidate(s), {} page(s){}",
-        st.candidates,
-        st.pages,
-        if st.fallback {
-            " — answered by exact scan fallback"
-        } else {
-            ""
-        }
+        "stats: {} candidate(s), {} page(s)",
+        resp.stats.candidates, resp.stats.pages
     );
     Ok(())
 }
@@ -414,11 +398,6 @@ fn cmd_bench(p: &Parsed) -> Result<(), String> {
         .filter_map(|r| r.as_ref().ok())
         .map(|r| r.stats.pages)
         .sum();
-    let fallbacks = seq
-        .iter()
-        .filter_map(|r| r.as_ref().ok())
-        .filter(|r| r.stats.fallback)
-        .count();
     let pruned: u64 = seq
         .iter()
         .filter_map(|r| r.as_ref().ok())
@@ -438,8 +417,7 @@ fn cmd_bench(p: &Parsed) -> Result<(), String> {
     );
     println!(
         "per query: {:.1} candidates, {:.1} pages, {:.1} subtrees pruned, \
-         {:.1} early-aborted; {fallbacks} scan fallback(s); \
-         parallel results bit-identical to sequential",
+         {:.1} early-aborted; parallel results bit-identical to sequential",
         cands as f64 / n_q as f64,
         pages as f64 / n_q as f64,
         pruned as f64 / n_q as f64,
@@ -450,7 +428,7 @@ fn cmd_bench(p: &Parsed) -> Result<(), String> {
             "{{\n  \"queries\": {n_q},\n  \"k\": {k},\n  \"threads\": {threads},\n  \
              \"seq_qps\": {seq_qps:.2},\n  \"par_qps\": {par_qps:.2},\n  \
              \"speedup\": {:.4},\n  \"mean_candidates\": {:.4},\n  \
-             \"mean_pages\": {:.4},\n  \"fallbacks\": {fallbacks}\n}}\n",
+             \"mean_pages\": {:.4}\n}}\n",
             par_qps / seq_qps,
             cands as f64 / n_q as f64,
             pages as f64 / n_q as f64,
@@ -461,96 +439,15 @@ fn cmd_bench(p: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// Either surface the observability commands accept: a plain snapshot,
-/// or a sharded index — a plain sharded directory or any durable one
-/// (whose WAL/rotation counters come along for free), reporting
-/// per-shard labeled series.
-enum LoadedIndex {
-    Plain(Box<NnCellIndex>),
-    Sharded(Box<ShardedIndex>),
-}
-
-impl LoadedIndex {
-    fn open(p: &Parsed, cmd: &str) -> Result<Self, String> {
-        match (p.get("index"), p.get("wal")) {
-            (Some(file), None) => Ok(match load_sharded_at(file)? {
-                Some(s) => LoadedIndex::Sharded(Box::new(s)),
-                None => LoadedIndex::Plain(Box::new(
-                    NnCellIndex::load(file).map_err(|e| e.to_string())?,
-                )),
-            }),
-            (None, Some(dir)) => Ok(LoadedIndex::Sharded(Box::new(open_wal(dir)?))),
-            _ => Err(format!(
-                "{cmd} needs exactly one of --index FILE or --wal DIR"
-            )),
-        }
-    }
-
-    fn attach_metrics(&mut self, registry: std::sync::Arc<Registry>) {
-        match self {
-            LoadedIndex::Plain(i) => i.attach_metrics(registry),
-            LoadedIndex::Sharded(s) => s.attach_metrics(registry),
-        }
-    }
-
-    fn dim(&self) -> usize {
-        match self {
-            LoadedIndex::Plain(i) => i.dim(),
-            LoadedIndex::Sharded(s) => s.dim(),
-        }
-    }
-
-    /// Shard count, or `None` for a plain snapshot (whose series carry
-    /// no `shard` label).
-    fn shards(&self) -> Option<usize> {
-        match self {
-            LoadedIndex::Plain(_) => None,
-            LoadedIndex::Sharded(s) => Some(s.num_shards()),
-        }
-    }
-
-    fn run_batch(&self, queries: &[Query], threads: usize) {
-        match self {
-            LoadedIndex::Plain(i) => {
-                let _ = i.engine().with_threads(threads).batch(queries);
-            }
-            // Sharding is the concurrency story here: the fan-out across
-            // shard engines replaces the single engine's thread pool.
-            LoadedIndex::Sharded(s) => {
-                let _ = s.batch(queries);
-            }
-        }
-    }
-
-    /// Slow-query rings, one per shard (exactly one for a plain snapshot).
-    fn slow_logs(&self) -> Vec<std::sync::Arc<nncell_core::SlowQueryLog>> {
-        use std::sync::Arc;
-        match self {
-            LoadedIndex::Plain(i) => i
-                .metrics()
-                .map(|m| Arc::clone(m.engine().slow_log()))
-                .into_iter()
-                .collect(),
-            LoadedIndex::Sharded(s) => (0..s.num_shards())
-                .filter_map(|i| {
-                    let shard = s.shard(i);
-                    shard.metrics().map(|m| Arc::clone(m.engine().slow_log()))
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Builds the [`nncell_server::ServeIndex`] for `serve` from the same
-/// `--index FILE`/`--wal DIR` surfaces the other commands accept, with
-/// the extra twist that a missing `--wal` directory is initialized
-/// fresh (requires `--dim`; `--shards` defaults to 1).
+/// Builds the index `serve` serves from the same `--index PATH`/`--wal DIR`
+/// surfaces the other commands accept, with the extra twist that a
+/// missing `--wal` directory is initialized fresh (requires `--dim`;
+/// `--shards` defaults to 1).
 ///
-/// A single snapshot file serves read-only; every other surface serves a
-/// sharded index whose writes go through the journaled memtable tail
-/// (O(1) acks, a supervised background folder).
-fn open_serve_index(p: &Parsed) -> Result<nncell_server::ServeIndex, String> {
-    use nncell_server::ServeIndex;
+/// A durable directory takes writes through its journaled memtable tail
+/// (O(1) acks, a supervised background folder); an `--index` path is not
+/// durable and serves read-only.
+fn open_serve_index(p: &Parsed) -> Result<ShardedIndex, String> {
     let tail_max: usize = p.get_or("tail-max", 4096).map_err(|e| e.to_string())?;
     if tail_max == 0 {
         return Err("--tail-max must be at least 1 (every write goes through the memtable tail)".into());
@@ -558,17 +455,8 @@ fn open_serve_index(p: &Parsed) -> Result<nncell_server::ServeIndex, String> {
     let fold_interval_ms: u64 = p
         .get_or("fold-interval-ms", 20)
         .map_err(|e| e.to_string())?;
-    let sharded = match (p.get("index"), p.get("wal")) {
-        (Some(file), None) => match load_sharded_at(file)? {
-            Some(s) => s,
-            None => {
-                return Ok(ServeIndex::Plain(Box::new(
-                    NnCellIndex::load(file).map_err(|e| e.to_string())?,
-                )))
-            }
-        },
-        (None, Some(dir)) if std::path::Path::new(dir).join("CURRENT").exists() => open_wal(dir)?,
-        (None, Some(dir)) => {
+    let index = match (p.get("index"), p.get("wal")) {
+        (None, Some(dir)) if !std::path::Path::new(dir).join("CURRENT").exists() => {
             // Fresh directory: initialize an empty durable index.
             let dim: usize = p
                 .get("dim")
@@ -582,15 +470,13 @@ fn open_serve_index(p: &Parsed) -> Result<nncell_server::ServeIndex, String> {
             ShardedIndex::open_durable(dir, dim, shards, BuildConfig::default())
                 .map_err(|e| e.to_string())?
         }
-        _ => return Err("serve needs exactly one of --index FILE or --wal DIR".into()),
+        _ => open_index(p, "serve")?,
     };
-    Ok(ServeIndex::Sharded(Box::new(sharded.with_fold_config(
-        FoldConfig {
-            tail_max,
-            poll_interval: std::time::Duration::from_millis(fold_interval_ms.max(1)),
-            ..FoldConfig::default()
-        },
-    ))))
+    Ok(index.with_fold_config(FoldConfig {
+        tail_max,
+        poll_interval: std::time::Duration::from_millis(fold_interval_ms.max(1)),
+        ..FoldConfig::default()
+    }))
 }
 
 fn cmd_serve(p: &Parsed) -> Result<(), String> {
@@ -631,11 +517,7 @@ fn cmd_serve(p: &Parsed) -> Result<(), String> {
     // One registry serves both the index families (queries, WAL, trees)
     // and the HTTP families — /metrics exposes the whole picture.
     let registry = Registry::new();
-    let mut index = index;
-    match &mut index {
-        nncell_server::ServeIndex::Sharded(s) => s.attach_metrics(registry.clone()),
-        nncell_server::ServeIndex::Plain(i) => i.attach_metrics(registry.clone()),
-    }
+    index.attach_metrics(registry.clone());
     let server = nncell_server::Server::bind(config, index, registry)
         .map_err(|e| format!("bind failed: {e}"))?;
     nncell_server::install_signal_handlers();
@@ -645,13 +527,15 @@ fn cmd_serve(p: &Parsed) -> Result<(), String> {
     println!(
         "serving: POST /query /batch /insert /remove — GET /metrics /healthz /readyz /debug/trace"
     );
-    match server.index() {
-        nncell_server::ServeIndex::Sharded(s) => println!(
+    let index = server.index();
+    if index.is_durable() {
+        println!(
             "write path: journaled memtable tail (O(1) acks, background folder, \
              backpressure past {} unfolded ops)",
-            s.fold_config().tail_max
-        ),
-        nncell_server::ServeIndex::Plain(_) => println!("write path: none (read-only snapshot)"),
+            index.fold_config().tail_max
+        );
+    } else {
+        println!("write path: none (read-only: --index is not durable; serve --wal DIR to take writes)");
     }
     println!("shutdown: SIGTERM/ctrl-c drains in-flight requests, then checkpoints");
     use std::io::Write as _;
@@ -785,7 +669,6 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
         "queries",
         "seed",
         "k",
-        "threads",
         "json",
         "prom",
         "slow",
@@ -796,28 +679,33 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
         return cmd_stats_server(addr);
     }
     let registry = Registry::new();
-    let mut loaded = LoadedIndex::open(p, "stats")?;
-    loaded.attach_metrics(registry.clone());
+    let index = open_index(p, "stats")?;
+    index.attach_metrics(registry.clone());
     let n_q: usize = p.get_or("queries", 200).map_err(|e| e.to_string())?;
     let seed: u64 = p.get_or("seed", 7).map_err(|e| e.to_string())?;
     let k: usize = p.get_or("k", 1).map_err(|e| e.to_string())?;
-    let threads: usize = p.get_or("threads", 1).map_err(|e| e.to_string())?;
     let slow_threshold_us: u64 = p
         .get_or("slow-threshold-us", 0)
         .map_err(|e| e.to_string())?;
-    let slow_logs = loaded.slow_logs();
+    // One slow-query ring per shard.
+    let slow_logs: Vec<_> = (0..index.num_shards())
+        .filter_map(|i| {
+            let shard = index.shard(i);
+            shard.metrics().map(|m| std::sync::Arc::clone(m.engine().slow_log()))
+        })
+        .collect();
     if p.get("slow").is_some() {
         for log in &slow_logs {
             log.set_threshold_ns(slow_threshold_us.saturating_mul(1_000));
         }
     }
     if n_q > 0 {
-        let queries: Vec<Query> = UniformGenerator::new(loaded.dim())
+        let queries: Vec<Query> = UniformGenerator::new(index.dim())
             .generate(n_q, seed)
             .iter()
             .map(|pt| Query::knn(pt.as_slice(), k))
             .collect();
-        loaded.run_batch(&queries, threads.max(1));
+        let _ = index.batch(&queries);
     }
     let snap = registry.snapshot();
     if p.get("json").is_some() {
@@ -851,13 +739,12 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
                     String::new()
                 };
                 println!(
-                    "  #{:<4} {:>10.1} µs  k={} candidates={} pages={}{}{trace}  [{}]",
+                    "  #{:<4} {:>10.1} µs  k={} candidates={} pages={}{trace}  [{}]",
                     e.seq,
                     e.latency_ns as f64 / 1_000.0,
                     e.k,
                     e.candidates,
                     e.pages,
-                    if e.fallback { " fallback" } else { "" },
                     e.point
                         .iter()
                         .map(|c| format!("{c:.4}"))
@@ -868,32 +755,28 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
         }
         return Ok(());
     }
-    // Human-readable summary. Sharded indexes register per-shard labeled
-    // series (`name{shard="i"}`); sum_counters/sum_gauges fold a whole
-    // family into one number either way.
-    let shards = loaded.shards();
-    let many = shards.is_some_and(|s| s > 1);
+    // Human-readable summary. Every shard registers labeled series
+    // (`name{shard="i"}`); sum_counters/sum_gauges fold a whole family
+    // into one number.
+    let shards = index.num_shards();
+    let many = shards > 1;
     println!(
-        "workload       : {n_q} queries (k={k}, threads={threads}, seed={seed}){}",
-        match shards {
-            Some(s) if many => format!(" fanned out across {s} shards"),
-            _ => String::new(),
+        "workload       : {n_q} queries (k={k}, seed={seed}){}",
+        if many {
+            format!(" fanned out across {shards} shards")
+        } else {
+            String::new()
         }
     );
     let get = |name: &str| snap.sum_counters(name).unwrap_or(0);
     println!(
-        "queries        : {} ok, {} error(s), {} scan fallback(s)",
+        "queries        : {} ok, {} error(s)",
         get("nncell_queries_total") - get("nncell_query_errors_total"),
         get("nncell_query_errors_total"),
-        get("nncell_query_fallback_total"),
     );
-    // One series per engine: `name{shard="i"}` for a sharded index.
-    let series = |name: &str, i: usize| match shards {
-        Some(_) => format!("{name}{{shard=\"{i}\"}}"),
-        None => name.to_string(),
-    };
+    let series = |name: &str, i: usize| format!("{name}{{shard=\"{i}\"}}");
     // Latency histograms stay per shard.
-    for i in 0..shards.unwrap_or(1) {
+    for i in 0..shards {
         if let Some(h) = snap.histogram(&series("nncell_query_latency_ns", i)) {
             let label = if many {
                 format!("latency (s{i})  ")
@@ -967,9 +850,9 @@ COMMANDS
   bench     --index FILE [--queries 200] [--seed 7] [--k 1] [--threads N]
             [--json FILE]
   stats     (--index FILE | --wal DIR) [--queries 200] [--seed 7] [--k 1]
-            [--threads 1] [--json | --prom | --slow [--slow-threshold-us N]]
+            [--json | --prom | --slow [--slow-threshold-us N]]
   stats     --server HOST:PORT     (shed-pressure view of a running server)
-  serve     (--index FILE | --wal DIR) [--addr 127.0.0.1:8321] [--threads 4]
+  serve     (--wal DIR | --index PATH (read-only)) [--addr 127.0.0.1:8321] [--threads 4]
             [--queue-depth 64] [--deadline-ms 2000] [--retry-after 1]
             [--slow-ms 100] [--tail-max 4096 (>= 1)] [--fold-interval-ms 20]
             [--trace-sample N] [--dim N [--shards 1]  (fresh --wal init)]
@@ -988,9 +871,10 @@ single snapshot file when S = 1). `build --wal DIR` writes a durable
 directory of S shards (default 1): DIR/CURRENT reads `sharded S` and each
 shard journals in DIR/shard-<i>/. Durable directories of the older
 unsharded layout (CURRENT holding a bare generation number) still open,
-as one shard. query/stats auto-detect a sharded --index directory from
-its manifest; sharded answers are bit-identical to unsharded ones, and
-sharded metrics register per-shard `shard=\"i\"` series.
+as one shard. Every --index PATH opens as a sharded index too: a snapshot
+file as one shard, a sharded directory from its manifest. Sharded answers
+are bit-identical to unsharded ones, and metrics register per-shard
+`shard=\"i\"` series (`shard=\"0\"` for a snapshot file).
 
 `stats` attaches a metrics registry, replays a generated workload, and
 reports query-latency percentiles, candidate/page histograms, point-tree
@@ -1017,7 +901,10 @@ background folder inserts the tail into the point tree. Queries merge the tail b
 stay exact throughout, even while the folder is failing (visible as
 `nncell_fold_*` metrics and in /readyz). A tail past --tail-max unfolded
 ops sheds writes with 429 + Retry-After; --tail-max must be at least 1.
-A single snapshot file (--index FILE) serves read-only. `flush` folds a
+Only a durable directory (--wal DIR) takes writes: `serve --index PATH`
+(a snapshot file or a plain sharded directory) is not durable, so it
+serves read-only and answers /insert and /remove with 403 read_only
+rather than acknowledge writes it would lose on restart. `flush` folds a
 directory's journal into the snapshot offline."
     );
 }

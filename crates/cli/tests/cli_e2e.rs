@@ -193,7 +193,8 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
     assert!(text.contains("point tree"), "{text}");
 
     // --json prints the raw registry snapshot; the query counter matches
-    // the workload exactly (40 issued, 0 errors).
+    // the workload exactly (40 issued, 0 errors). A snapshot file opens
+    // as a one-shard index, so its series carry `shard="0"`.
     let out = bin()
         .args(["stats", "--index", idx.to_str().unwrap()])
         .args(["--queries", "40", "--k", "3", "--json"])
@@ -202,19 +203,19 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let json = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(
-        json.contains("\"nncell_queries_total\": {\"type\": \"counter\", \"value\": 40}"),
+        json.contains("\"nncell_queries_total{shard=\\\"0\\\"}\": {\"type\": \"counter\", \"value\": 40}"),
         "{json}"
     );
     assert!(
-        json.contains("\"nncell_query_errors_total\": {\"type\": \"counter\", \"value\": 0}"),
+        json.contains("\"nncell_query_errors_total{shard=\\\"0\\\"}\": {\"type\": \"counter\", \"value\": 0}"),
         "{json}"
     );
     assert!(
-        json.contains("\"nncell_live_points\": {\"type\": \"gauge\", \"value\": 150}"),
+        json.contains("\"nncell_live_points{shard=\\\"0\\\"}\": {\"type\": \"gauge\", \"value\": 150}"),
         "{json}"
     );
     assert!(
-        json.contains("\"nncell_query_latency_ns\": {\"type\": \"histogram\", \"count\": 40,"),
+        json.contains("\"nncell_query_latency_ns{shard=\\\"0\\\"}\": {\"type\": \"histogram\", \"count\": 40,"),
         "{json}"
     );
     assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'), "{json}");
@@ -228,7 +229,7 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
     assert!(out.status.success());
     let prom = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(prom.contains("# TYPE nncell_query_latency_ns histogram"), "{prom}");
-    assert!(prom.contains("nncell_queries_total 10"), "{prom}");
+    assert!(prom.contains("nncell_queries_total{shard=\"0\"} 10"), "{prom}");
 
     // --slow with threshold 0 captures every query in the ring.
     let out = bin()

@@ -641,3 +641,104 @@ fn serve_rejects_a_zero_tail_max() {
     );
     assert!(!wal.exists(), "a rejected serve must not initialize the directory");
 }
+
+/// Runs the `nncell` binary to completion, asserting success; returns stdout.
+fn nncell(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_nncell"))
+        .args(args)
+        .output()
+        .expect("spawn nncell");
+    assert!(
+        out.status.success(),
+        "nncell {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// `(id, distance as printed)` for every ranked line of `nncell query`.
+fn printed_hits(stdout: &str) -> Vec<(usize, String)> {
+    stdout
+        .lines()
+        .filter_map(|l| {
+            let (left, dist) = l.split_once(" at distance ")?;
+            let id = left.rsplit_once('#')?.1.parse().ok()?;
+            Some((id, dist.trim().to_string()))
+        })
+        .collect()
+}
+
+/// Every `--index` path opens as a sharded index: a single snapshot file
+/// as one shard, a plain sharded directory from its manifest. `serve`
+/// answers `/query` on it exactly as `nncell query` does on the same path
+/// — the same ids, the same printed distances, and distance bits equal to
+/// the in-process `ShardedIndex::load` that command runs — including
+/// centres outside the unit square and `k` past the live count. Neither
+/// path is durable, so both refuse `/insert` and `/remove` with
+/// `403 read_only` instead of acknowledging writes a restart would lose,
+/// and `stats` on the snapshot file reports its shard's `shard="0"`
+/// series.
+#[test]
+fn index_paths_serve_read_only_and_answer_like_the_query_command() {
+    let dir = tmp("index_paths");
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("pts.csv");
+    let file = dir.join("one.nncell");
+    let sharded = dir.join("three");
+    let (csv, file, sharded) = (
+        csv.to_str().unwrap(),
+        file.to_str().unwrap(),
+        sharded.to_str().unwrap(),
+    );
+    nncell(&["generate", "--n", "200", "--dim", "2", "--seed", "9", "--out", csv]);
+    nncell(&["build", "--points", csv, "--out", file]);
+    nncell(&["build", "--points", csv, "--shards", "3", "--out", sharded]);
+
+    let queries: [([f64; 2], usize); 4] =
+        [([0.3, 0.7], 1), ([0.5, 0.5], 4), ([1.4, -0.2], 3), ([-0.5, 0.25], 250)];
+    for path in [file, sharded] {
+        let reference = ShardedIndex::load(path).expect("load");
+        let srv = ServerProc::spawn(&["--index", path, "--addr", "127.0.0.1:0"]);
+        let c = srv.client();
+        for (q, k) in &queries {
+            let r = c
+                .post("/query", &format!("{{\"point\":[{},{}],\"k\":{k}}}", q[0], q[1]))
+                .unwrap();
+            assert_eq!(r.status, 200, "{}", r.text());
+            let body = nncell_server::json::parse(&r.text()).expect("json");
+            let served: Vec<(usize, f64)> = body
+                .get("results")
+                .and_then(|v| v.as_arr().map(<[_]>::to_vec))
+                .expect("results")
+                .iter()
+                .map(|h| {
+                    let id = h.get("id").and_then(|v| v.as_usize()).expect("id");
+                    (id, h.get("dist").and_then(|v| v.as_f64()).expect("dist"))
+                })
+                .collect();
+            let want = reference.query(&Query::knn(q.to_vec(), *k)).expect("query");
+            let want: Vec<(usize, u64)> = want.iter().map(|h| (h.id, h.dist.to_bits())).collect();
+            let got: Vec<(usize, u64)> = served.iter().map(|&(id, d)| (id, d.to_bits())).collect();
+            assert_eq!(got, want, "{path} {q:?} k={k}");
+            assert_eq!(got.len(), (*k).min(200));
+
+            let point = format!("{},{}", q[0], q[1]);
+            let printed = printed_hits(&nncell(&[
+                "query", "--index", path, "--point", &point, "--k", &k.to_string(),
+            ]));
+            let served: Vec<(usize, String)> =
+                served.iter().map(|&(id, d)| (id, format!("{d:.6}"))).collect();
+            assert_eq!(printed, served, "{path} {q:?} k={k}");
+        }
+        for (route, body) in [("/insert", "{\"point\":[0.25,0.25]}"), ("/remove", "{\"id\":0}")] {
+            let r = c.post(route, body).unwrap();
+            assert_eq!(r.status, 403, "{route} on {path}: {}", r.text());
+            assert!(r.text().contains("read_only"), "{}", r.text());
+        }
+    }
+
+    let prom = nncell(&["stats", "--index", file, "--queries", "5", "--prom"]);
+    assert!(prom.contains("nncell_queries_total{shard=\"0\"} 5"), "{prom}");
+    assert!(prom.contains("nncell_live_points{shard=\"0\"} 200"), "{prom}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -38,10 +38,10 @@
 //! floating-point differences between MBR MINDIST accumulation and the
 //! kernel can never skip a true answer.
 //!
-//! All exact-scan fallbacks (out-of-space query, `k ≥ len`, degenerate
-//! candidate search) are funneled through one helper here, which both sets
-//! [`QueryStats::fallback`] on the response and bumps the index-wide
-//! [`NnCellIndex::fallback_queries`] counter.
+//! There is no scan branch: the walk is exact for any finite query point,
+//! inside or outside the data space, and for `k ≥` the live count it
+//! evaluates every live point with the same kernel and `(dist, id)` order
+//! a linear scan uses.
 
 use crate::index::{NnCellIndex, QueryResult};
 use crate::query::{Query, QueryError, QueryKind, QueryResponse, QueryStats};
@@ -103,9 +103,6 @@ pub struct QueryEngine<'a, M: Metric = Euclidean> {
     /// When false, this engine skips metric recording even if the index has
     /// a registry attached (overhead A/B runs; see the bench).
     record_metrics: bool,
-    /// Optional time budget for every query of a shard fan-out (see
-    /// [`QueryEngine::with_deadline_opt`]).
-    deadline: Option<std::time::Instant>,
     /// Optional unindexed memtable tail merged into every answer (see
     /// [`QueryEngine::with_tail`]).
     tail: Option<&'a crate::memtable::TailSnapshot>,
@@ -121,7 +118,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             index,
             threads,
             record_metrics: true,
-            deadline: None,
             tail: None,
         }
     }
@@ -132,7 +128,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             index,
             threads: 1,
             record_metrics: true,
-            deadline: None,
             tail: None,
         }
     }
@@ -149,24 +144,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     pub fn without_metrics(mut self) -> Self {
         self.record_metrics = false;
         self
-    }
-
-    /// An engine-level time budget applied to every query this engine
-    /// executes: shard fan-out applies one admission deadline to a whole
-    /// batch without cloning every query. Callers set budgets per request
-    /// with [`Query::with_deadline`].
-    pub(crate) fn with_deadline_opt(mut self, deadline: Option<std::time::Instant>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// The deadline that governs `q` on this engine: the earlier of the
-    /// per-request budget and the fan-out one.
-    fn effective_deadline(&self, q: &Query) -> Option<std::time::Instant> {
-        match (self.deadline, q.deadline()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
     }
 
     /// Merges an unindexed memtable tail into every answer: the indexed
@@ -190,12 +167,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// The index this engine reads.
     pub fn index(&self) -> &'a NnCellIndex<M> {
         self.index
-    }
-
-    /// Total scan-fallback queries recorded on the underlying index (all
-    /// fallback paths — NN and k-NN — are counted there by this engine).
-    pub fn fallback_queries(&self) -> u64 {
-        self.index.fallback_queries()
     }
 
     // ------------------------------------------------------------------
@@ -252,9 +223,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                     .record(resp.stats.candidates_examined as u64);
                 m.aborted_early
                     .record(resp.stats.candidates_aborted_early as u64);
-                if resp.stats.fallback {
-                    m.fallbacks.inc();
-                }
                 span.arg("candidates", resp.stats.candidates as u64);
                 span.arg("pages", resp.stats.pages);
                 span.arg("nodes_pruned", resp.stats.nodes_pruned);
@@ -276,7 +244,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                     logged_k,
                     resp.stats.candidates,
                     resp.stats.pages as usize,
-                    resp.stats.fallback,
                     nncell_obs::trace::current_trace_id(),
                 );
             }
@@ -310,26 +277,16 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             }
             _ => {}
         }
-        let deadline = self.effective_deadline(q);
-        if let Some(tail) = self.tail.filter(|t| !t.is_empty()) {
-            if idx.is_empty() && tail.inserts.is_empty() {
-                return Err(QueryError::EmptyIndex);
-            }
-            if out_of_budget(deadline) {
-                return Err(QueryError::DeadlineExceeded);
-            }
-            return match q.kind() {
-                QueryKind::Nearest { k } => self.run_with_tail(scratch, p, k, tail, deadline),
-                QueryKind::Radius { radius } => {
-                    self.run_radius_with_tail(scratch, p, radius, tail, deadline)
-                }
-            };
-        }
-        if idx.is_empty() {
+        let deadline = q.deadline();
+        let tail = self.tail.filter(|t| !t.is_empty());
+        if idx.is_empty() && tail.is_none_or(|t| t.inserts.is_empty()) {
             return Err(QueryError::EmptyIndex);
         }
         if out_of_budget(deadline) {
             return Err(QueryError::DeadlineExceeded);
+        }
+        if let Some(tail) = tail {
+            return self.run_with_tail(scratch, q, tail);
         }
         match q.kind() {
             QueryKind::Nearest { k } => self.run_knn(scratch, p, k, deadline),
@@ -337,32 +294,50 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         }
     }
 
-    /// The merged kernel for a non-empty tail. The indexed side asks for
-    /// `k + tombstones` neighbors: at most that many of its top results
-    /// can be knocked out by tail tombstones, so the survivors still
-    /// contain the true indexed top-k (when fewer live points exist the
-    /// kernel already degrades to a complete scan). Tail inserts are then
-    /// scanned linearly (bounded by the configured tail high-watermark,
-    /// budget-checked) and the union re-ranked. An id present on both
-    /// sides — a fold published between the tail copy and the snapshot
-    /// load — sorts adjacently (same point, bit-identical distance) and is
-    /// deduplicated, so the race cannot double-count.
+    /// Either kernel merged with a non-empty memtable tail. The indexed
+    /// side answers first, minus the ids the tail tombstoned: a k-NN query
+    /// asks it for `k + tombstones` neighbors, because at most that many of
+    /// its top results can be knocked out, so the survivors still contain
+    /// the true indexed top-k; a radius query keeps its whole ball. Tail
+    /// inserts are then scanned linearly (bounded by the configured tail
+    /// high-watermark, budget-checked), the union is re-ranked by
+    /// `(distance, id)` and cut to `k` (a radius query is uncut). An id
+    /// present on both sides — a fold published between the tail copy and
+    /// the snapshot load — sorts adjacently (same point, bit-identical
+    /// distance) and is deduplicated, so the race cannot double-count.
     fn run_with_tail(
         &self,
         scratch: &mut QueryScratch,
-        p: &[f64],
-        k: usize,
+        q: &Query,
         tail: &crate::memtable::TailSnapshot,
-        deadline: Option<std::time::Instant>,
     ) -> Result<QueryResponse, QueryError> {
         let idx = self.index;
+        let p = q.point();
+        let deadline = q.deadline();
+        // A k-NN query keeps every tail point (an unbounded ball); the cut
+        // to k comes after the re-rank.
+        let (radius, empty) = match q.kind() {
+            QueryKind::Nearest { .. } => (f64::INFINITY, QueryError::EmptyIndex),
+            QueryKind::Radius { radius } => (radius, QueryError::EmptyRadius),
+        };
         let mut stats = QueryStats::default();
         let mut merged: Vec<QueryResult> = Vec::new();
         if !idx.is_empty() {
-            let k_eff = k + tail.removed.len();
-            let resp = self.run_knn(scratch, p, k_eff, deadline)?;
-            stats = resp.stats;
-            merged = resp.into_results();
+            let indexed = match q.kind() {
+                QueryKind::Nearest { k } => {
+                    self.run_knn(scratch, p, k.saturating_add(tail.removed.len()), deadline)
+                }
+                QueryKind::Radius { radius } => self.run_radius(scratch, p, radius),
+            };
+            match indexed {
+                Ok(resp) => {
+                    stats = resp.stats;
+                    merged = resp.into_results();
+                }
+                // An empty indexed ball can still be filled by the tail.
+                Err(QueryError::EmptyRadius) => {}
+                Err(e) => return Err(e),
+            }
             if !tail.removed.is_empty() {
                 merged.retain(|r| !tail.removed.contains(&r.id));
             }
@@ -375,22 +350,22 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             if i % 256 == 255 && out_of_budget(deadline) {
                 return Err(QueryError::DeadlineExceeded);
             }
-            merged.push(QueryResult {
-                id: *id,
-                dist: metric.dist(p, pt.as_slice()),
-            });
+            let dist = metric.dist(p, pt.as_slice());
+            if dist <= radius {
+                merged.push(QueryResult { id: *id, dist });
+            }
         }
         stats.candidates += tail.inserts.len();
         stats.tail = tail.inserts.len();
         merged.sort_unstable_by(cmp_results);
         merged.dedup_by(|a, b| a.id == b.id);
-        merged.truncate(k);
+        merged.truncate(q.k());
         drop(tspan);
         let mut it = merged.into_iter();
         match it.next() {
-            // Every indexed point tombstoned and no tail inserts: the
-            // live set is genuinely empty.
-            None => Err(QueryError::EmptyIndex),
+            // Every indexed point tombstoned and no tail inserts (or none
+            // inside the ball): the answer is genuinely empty.
+            None => Err(empty),
             Some(best) => Ok(QueryResponse {
                 best,
                 rest: it.collect(),
@@ -472,9 +447,13 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// weighted-metric bound into the tree's Euclidean geometry, since
     /// `d²_w(q, x) ≥ w_min · ‖q − x‖²`), so every point that could tie or
     /// beat the k-th result is evaluated exactly — with the same kernel,
-    /// in the same `(dist, id)` order, as the linear scan.
+    /// in the same `(dist, id)` order, as the linear scan. MINDIST bounds
+    /// hold for any query point, so the walk is exact outside the data
+    /// space too; with `k ≥` the live count the k-th-best bound never
+    /// forms, nothing is pruned or aborted, and every live point is
+    /// evaluated.
     ///
-    /// The configured budget (if any) is checked every 128 streamed items;
+    /// The query's budget (if any) is checked every 128 streamed items;
     /// an expired budget aborts the traversal and surfaces as
     /// [`QueryError::DeadlineExceeded`] instead of hogging the worker.
     fn run_knn(
@@ -485,15 +464,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         deadline: Option<std::time::Instant>,
     ) -> Result<QueryResponse, QueryError> {
         let idx = self.index;
-        if k >= idx.len() || !idx.space().contains(p) {
-            // k ≥ len needs every live point anyway; outside the data
-            // space the index makes no covering promise.
-            return Ok(if k == 1 {
-                self.scan_nn(p)
-            } else {
-                self.scan_knn(p, k)
-            });
-        }
         let metric = idx.metric();
         let alive = idx.alive();
         let mut w_min = f64::INFINITY;
@@ -526,20 +496,27 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 None => aborted += 1, // provably beyond the k-th best
                 Some(d2) => {
                     let r = QueryResult { id, dist: d2.sqrt() };
-                    let full = ranked.len() == k;
-                    if !full || cmp_results(&r, &ranked[k - 1]) == std::cmp::Ordering::Less {
+                    if ranked.len() < k {
+                        // No bound exists before the k-th result, so the
+                        // first k are collected unordered and sorted once
+                        // — which keeps `k ≥` the live count a sort, not
+                        // a quadratic run of sorted inserts.
+                        ranked.push(r);
+                        if ranked.len() < k {
+                            return tree_bound;
+                        }
+                        ranked.sort_unstable_by(cmp_results);
+                    } else if cmp_results(&r, &ranked[k - 1]) == std::cmp::Ordering::Less {
+                        ranked.pop();
                         let pos =
                             ranked.partition_point(|x| cmp_results(x, &r) == std::cmp::Ordering::Less);
-                        if full {
-                            ranked.pop();
-                        }
                         ranked.insert(pos, r);
-                        if ranked.len() == k {
-                            let b = ranked[k - 1].dist;
-                            abort_bound = (b * b) * BOUND_SLOP;
-                            tree_bound = abort_bound / w_min;
-                        }
+                    } else {
+                        return tree_bound;
                     }
+                    let b = ranked[k - 1].dist;
+                    abort_bound = (b * b) * BOUND_SLOP;
+                    tree_bound = abort_bound / w_min;
                 }
             }
             tree_bound
@@ -547,11 +524,15 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         if deadline_hit {
             return Err(QueryError::DeadlineExceeded);
         }
+        // Fewer than k live points: the fill phase never sorted.
+        if ranked.len() < k {
+            ranked.sort_unstable_by(cmp_results);
+        }
         if ranked.is_empty() {
-            // Unreachable while the tree and alive-mask agree (k < len
-            // guarantees live points exist), but the library contract is
+            // Unreachable while the tree and alive-mask agree (the caller
+            // checked that live points exist), but the library contract is
             // degrade-not-panic.
-            return Ok(self.scan_knn(p, k));
+            return Err(QueryError::EmptyIndex);
         }
         Ok(QueryResponse {
             best: ranked[0],
@@ -559,7 +540,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             stats: QueryStats {
                 candidates: examined - aborted,
                 pages: tstats.pages,
-                fallback: false,
                 tail: 0,
                 nodes_pruned: tstats.nodes_pruned,
                 candidates_examined: examined,
@@ -571,10 +551,9 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// Exact radius query, riding the point tree:
     /// one sphere query collects every stored point whose Euclidean
     /// distance can be within the ball, then the exact metric filter keeps
-    /// `dist ≤ r`. Unlike the NN kernels this needs no covering argument
-    /// and no scan fallback — the point tree holds every live point
-    /// directly, and its sphere query is exact for *any* center, including
-    /// centers outside the data space.
+    /// `dist ≤ r`. The point tree holds every live point directly, and its
+    /// sphere query is exact for *any* center, including centers outside
+    /// the data space.
     fn run_radius(
         &self,
         scratch: &mut QueryScratch,
@@ -625,7 +604,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         let stats = QueryStats {
             candidates: examined - aborted,
             pages,
-            fallback: false,
             tail: 0,
             nodes_pruned: 0,
             candidates_examined: examined,
@@ -639,141 +617,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 rest: it.collect(),
                 stats,
             }),
-        }
-    }
-
-    /// The radius kernel merged with a non-empty memtable tail: indexed
-    /// ball results minus tombstoned ids, plus tail inserts inside the
-    /// ball, re-ranked by `(distance, id)`. No truncation — a radius query
-    /// returns everything the ball contains.
-    fn run_radius_with_tail(
-        &self,
-        scratch: &mut QueryScratch,
-        p: &[f64],
-        r: f64,
-        tail: &crate::memtable::TailSnapshot,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<QueryResponse, QueryError> {
-        let idx = self.index;
-        let mut stats = QueryStats::default();
-        let mut merged: Vec<QueryResult> = Vec::new();
-        if !idx.is_empty() {
-            match self.run_radius(scratch, p, r) {
-                Ok(resp) => {
-                    stats = resp.stats;
-                    merged = resp.into_results();
-                }
-                // An empty indexed ball can still be filled by the tail.
-                Err(QueryError::EmptyRadius) => {}
-                Err(e) => return Err(e),
-            }
-            if !tail.removed.is_empty() {
-                merged.retain(|x| !tail.removed.contains(&x.id));
-            }
-        }
-        let metric = idx.metric();
-        for (i, (id, pt)) in tail.inserts.iter().enumerate() {
-            if i % 256 == 255 && out_of_budget(deadline) {
-                return Err(QueryError::DeadlineExceeded);
-            }
-            let dist = metric.dist(p, pt.as_slice());
-            if dist <= r {
-                merged.push(QueryResult { id: *id, dist });
-            }
-        }
-        stats.candidates += tail.inserts.len();
-        stats.tail = tail.inserts.len();
-        merged.sort_unstable_by(cmp_results);
-        merged.dedup_by(|a, b| a.id == b.id);
-        let mut it = merged.into_iter();
-        match it.next() {
-            None => Err(QueryError::EmptyRadius),
-            Some(best) => Ok(QueryResponse {
-                best,
-                rest: it.collect(),
-                stats,
-            }),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // the one place every scan fallback goes through
-    // ------------------------------------------------------------------
-
-    /// Exact 1-NN by scanning the flat point layout. Counts the fallback.
-    fn scan_nn(&self, p: &[f64]) -> QueryResponse {
-        let idx = self.index;
-        let _span = nncell_obs::trace::child("engine.scan_fallback");
-        idx.count_fallback();
-        let metric = idx.metric();
-        let alive = idx.alive();
-        let mut best: Option<(usize, f64)> = None;
-        for id in 0..alive.len() {
-            if !alive[id] {
-                continue;
-            }
-            let d2 = metric.dist_sq(p, idx.flat_point(id));
-            if best.is_none_or(|(_, b)| d2 < b) {
-                best = Some((id, d2));
-            }
-        }
-        // `execute_with` rejected empty indexes, so `best` is always set;
-        // the guard keeps this helper total anyway.
-        let (id, d2) = best.unwrap_or((0, f64::INFINITY));
-        QueryResponse {
-            best: QueryResult {
-                id,
-                dist: d2.sqrt(),
-            },
-            rest: Vec::new(),
-            stats: QueryStats {
-                candidates: idx.len(),
-                pages: 0,
-                fallback: true,
-                tail: 0,
-                nodes_pruned: 0,
-                candidates_examined: idx.len(),
-                candidates_aborted_early: 0,
-            },
-        }
-    }
-
-    /// Exact k-NN by scanning the flat point layout. Counts the fallback.
-    fn scan_knn(&self, p: &[f64], k: usize) -> QueryResponse {
-        let idx = self.index;
-        let _span = nncell_obs::trace::child("engine.scan_fallback");
-        idx.count_fallback();
-        let metric = idx.metric();
-        let alive = idx.alive();
-        let mut all: Vec<QueryResult> = (0..alive.len())
-            .filter(|&id| alive[id])
-            .map(|id| QueryResult {
-                id,
-                dist: metric.dist(p, idx.flat_point(id)),
-            })
-            .collect();
-        all.sort_unstable_by(cmp_results);
-        all.truncate(k);
-        let best = all.first().copied().unwrap_or(QueryResult {
-            id: 0,
-            dist: f64::INFINITY,
-        });
-        QueryResponse {
-            best,
-            rest: if all.len() > 1 {
-                all[1..].to_vec()
-            } else {
-                Vec::new()
-            },
-            stats: QueryStats {
-                candidates: idx.len(),
-                pages: 0,
-                fallback: true,
-                tail: 0,
-                nodes_pruned: 0,
-                candidates_examined: idx.len(),
-                candidates_aborted_early: 0,
-            },
         }
     }
 }

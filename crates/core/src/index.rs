@@ -9,7 +9,6 @@ use nncell_geom::{DataSpace, Euclidean, Mbr, Metric, Point};
 use nncell_index::{IoStats, TreeConfig, TreeMetrics, XTree};
 use nncell_obs::Registry;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -116,7 +115,6 @@ pub struct NnCellIndex<M: Metric = Euclidean> {
     metric: M,
     space: DataSpace,
     build_stats: BuildStats,
-    fallback_queries: AtomicU64,
     /// Registry bindings; `None` until [`Self::attach_metrics`] — every
     /// recording site is a no-op without them.
     metrics: Option<IndexMetrics>,
@@ -155,7 +153,6 @@ impl<M: Metric> NnCellIndex<M> {
             metric,
             space: DataSpace::unit(dim),
             build_stats: BuildStats::default(),
-            fallback_queries: AtomicU64::new(0),
             metrics: None,
         }
     }
@@ -256,16 +253,6 @@ impl<M: Metric> NnCellIndex<M> {
     /// Cost counters of the point X-tree (what queries and updates pay).
     pub fn point_tree_stats(&self) -> IoStats {
         self.point_tree.stats()
-    }
-
-    /// Number of queries that fell back to a scan (queries outside the unit
-    /// data space; always exact, never expected for in-space queries).
-    pub fn fallback_queries(&self) -> u64 {
-        self.fallback_queries.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn count_fallback(&self) {
-        self.fallback_queries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Resets the point tree's cost counters.
@@ -443,8 +430,8 @@ impl<M: Metric> NnCellIndex<M> {
 }
 
 /// Deep copy used by the fold's working copy ([`crate::ShardedIndex`]):
-/// point storage and the tree arena are cloned, the fallback counter's
-/// value is carried over, and an attached metrics bundle keeps recording
+/// point storage and the tree arena are cloned, and an attached metrics
+/// bundle keeps recording
 /// into the same registry series (every handle is an `Arc`; cloning never
 /// re-seeds a counter).
 impl<M: Metric> Clone for NnCellIndex<M> {
@@ -459,7 +446,6 @@ impl<M: Metric> Clone for NnCellIndex<M> {
             metric: self.metric.clone(),
             space: self.space.clone(),
             build_stats: self.build_stats,
-            fallback_queries: AtomicU64::new(self.fallback_queries()),
             metrics: self.metrics.clone(),
         }
     }
@@ -663,14 +649,13 @@ mod tests {
     }
 
     #[test]
-    fn out_of_space_queries_fall_back_but_stay_exact() {
+    fn out_of_space_queries_stay_exact() {
         let pts = uniform(50, 2, 18);
         let idx = NnCellIndex::build(pts.clone(), BuildConfig::default()).unwrap();
         let q = [1.5, -0.2];
         let got = nn(&idx, &q).unwrap();
         let want = linear_scan_nn(&pts, &q).unwrap();
         assert_eq!(got.id, want.id);
-        assert_eq!(idx.fallback_queries(), 1);
     }
 
     #[test]

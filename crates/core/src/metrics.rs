@@ -23,9 +23,6 @@ pub struct EngineMetrics {
     pub(crate) queries: Arc<Counter>,
     /// `nncell_query_errors_total` — queries rejected with a typed error.
     pub(crate) query_errors: Arc<Counter>,
-    /// `nncell_query_fallback_total` — queries answered by the exact
-    /// linear-scan fallback.
-    pub(crate) fallbacks: Arc<Counter>,
     /// `nncell_query_latency_ns` — end-to-end latency histogram.
     pub(crate) latency_ns: Arc<Histogram>,
     /// `nncell_query_candidates` — candidate set size histogram.
@@ -58,7 +55,6 @@ impl EngineMetrics {
         Self {
             queries: registry.counter(&format!("nncell_queries_total{l}")),
             query_errors: registry.counter(&format!("nncell_query_errors_total{l}")),
-            fallbacks: registry.counter(&format!("nncell_query_fallback_total{l}")),
             latency_ns: registry.histogram(&format!("nncell_query_latency_ns{l}")),
             candidates: registry.histogram(&format!("nncell_query_candidates{l}")),
             pages: registry.histogram(&format!("nncell_query_pages{l}")),

@@ -68,7 +68,7 @@ impl Query {
     }
 
     /// A k-nearest-neighbors query. `k` larger than the index is allowed
-    /// (the response simply holds every live point, by scan fallback).
+    /// (the response simply holds every live point).
     pub fn knn(point: impl Into<Vec<f64>>, k: usize) -> Self {
         Self {
             point: point.into(),
@@ -133,8 +133,7 @@ impl Query {
 ///
 /// Subsumes the old `nearest_neighbor_with_candidates` side channel: the
 /// candidate count now rides along on every answer, together with the page
-/// cost, the pruning telemetry of the MINDIST-ordered traversal, and
-/// whether the query was answered by the exact scan fallback.
+/// cost, and the pruning telemetry of the MINDIST-ordered traversal.
 ///
 /// Counter consistency (pinned by a unit test): for every response,
 /// `candidates_examined == candidates + candidates_aborted_early` — every
@@ -149,16 +148,11 @@ impl Query {
 pub struct QueryStats {
     /// Distinct live candidate points whose distance was **fully**
     /// evaluated (the paper's page-access driver). With the early-abort
-    /// kernel this is `candidates_examined − candidates_aborted_early`;
-    /// for a scan fallback it is the number of live points.
+    /// kernel this is `candidates_examined − candidates_aborted_early`.
     pub candidates: usize,
     /// Simulated index pages touched while gathering candidates (before
-    /// any LRU cache; 0 for a scan fallback, which reads no index pages).
+    /// any LRU cache).
     pub pages: u64,
-    /// Whether the answer came from the exact linear-scan fallback
-    /// (out-of-space query, `k ≥ len`, a numerically degenerate candidate
-    /// search). All fallback paths are counted here — and nowhere else.
-    pub fallback: bool,
     /// Unindexed memtable-tail points merged into this answer by linear
     /// scan (0 when the tail was empty or no tail was attached). Tail
     /// points are also counted in `candidates`; this field
@@ -167,7 +161,7 @@ pub struct QueryStats {
     /// Subtrees the MINDIST-ordered traversal pruned **before their node
     /// was ever read**: directory entries whose MINDIST exceeded the
     /// running best distance, plus queued pages discarded after the bound
-    /// shrank past them. 0 for scan fallbacks and plain sphere gathering.
+    /// shrank past them. 0 for plain sphere gathering.
     pub nodes_pruned: u64,
     /// Live candidate points whose distance evaluation *started* (streamed
     /// out of the traversal and past the tombstone filter).

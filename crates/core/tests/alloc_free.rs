@@ -67,7 +67,7 @@ fn warm_scratch_queries_do_not_allocate() {
         .collect();
     let mut index =
         NnCellIndex::build(pts, BuildConfig::default()).unwrap();
-    let nn_queries: Vec<Query> = (0..64)
+    let mut nn_queries: Vec<Query> = (0..64)
         .map(|i| {
             Query::nn(vec![
                 ((i * 7) % 64) as f64 / 64.0 + 0.004,
@@ -76,13 +76,15 @@ fn warm_scratch_queries_do_not_allocate() {
             ])
         })
         .collect();
+    // Outside the unit cube: the same tree walk, so the same contract.
+    nn_queries.push(Query::nn(vec![1.7, -0.4, 2.3]));
     let knn_queries: Vec<Query> = nn_queries
         .iter()
         .map(|q| Query::knn(q.point().to_vec(), 5))
         .collect();
 
     // The engine's query path carries tracing span sites (engine.query,
-    // knn growth, MINDIST rank, scan fallback). With sampling disabled —
+    // knn growth, MINDIST rank). With sampling disabled —
     // the default this test runs under — every site must stay an inert
     // thread-local flag read, so the zero-alloc assertions below are
     // also the tracing-off overhead proof.
@@ -98,10 +100,6 @@ fn warm_scratch_queries_do_not_allocate() {
         // Warm-up pass: buffers grow to their high-water mark.
         for q in nn_queries.iter().chain(&knn_queries) {
             engine.execute_with(&mut scratch, q).unwrap();
-            assert!(
-                !engine.execute_with(&mut scratch, q).unwrap().stats.fallback,
-                "fallback would scan via a fresh Vec; this test wants the hot path"
-            );
         }
 
         // Steady state, k = 1: zero heap allocations.

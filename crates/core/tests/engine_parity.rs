@@ -5,7 +5,6 @@
 //!   duplicate-distance tie-breaking (ascending point id).
 //! * Concurrent readers are safe: batches racing `reset_stats` /
 //!   `enable_cache` from another thread still return exact answers.
-//! * All scan-fallback paths are counted in one place.
 
 use nncell_core::{
     linear_scan_knn, linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryError,
@@ -170,7 +169,6 @@ fn batch_races_reset_stats_and_enable_cache() {
                             // toggle; the *answers* must not.
                             assert_eq!(g.best, e.best);
                             assert_eq!(g.rest, e.rest);
-                            assert_eq!(g.stats.fallback, e.stats.fallback);
                         }
                     }
                 })
@@ -181,43 +179,6 @@ fn batch_races_reset_stats_and_enable_cache() {
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
     });
-}
-
-/// Every scan fallback funnels through the engine and is counted — the old
-/// `knn` paths (`k ≥ len`, out-of-space) scanned without counting.
-#[test]
-fn all_fallback_paths_are_counted() {
-    let pts: Vec<Point> = (0..20)
-        .map(|i| Point::new(vec![(i as f64 + 0.5) / 20.0, ((i * 7 % 20) as f64 + 0.5) / 20.0]))
-        .collect();
-    let index = NnCellIndex::build(
-        pts,
-        BuildConfig::default(),
-    )
-    .unwrap();
-    let engine = index.engine().with_threads(1);
-    assert_eq!(engine.fallback_queries(), 0);
-
-    // k ≥ len: previously scanned silently.
-    let r = engine.execute(&Query::knn([0.4, 0.6], 25)).unwrap();
-    assert!(r.stats.fallback);
-    assert_eq!(r.len(), 20);
-    assert_eq!(engine.fallback_queries(), 1);
-
-    // Out-of-space NN query.
-    let r = engine.execute(&Query::nn([1.7, -0.3])).unwrap();
-    assert!(r.stats.fallback);
-    assert_eq!(engine.fallback_queries(), 2);
-
-    // Out-of-space k-NN query.
-    let r = engine.execute(&Query::knn([1.7, -0.3], 3)).unwrap();
-    assert!(r.stats.fallback);
-    assert_eq!(engine.fallback_queries(), 3);
-
-    // In-space queries of a healthy index never fall back.
-    let r = engine.execute(&Query::knn([0.4, 0.6], 5)).unwrap();
-    assert!(!r.stats.fallback);
-    assert_eq!(engine.fallback_queries(), 3);
 }
 
 /// The typed error contract, end to end.
@@ -289,10 +250,9 @@ fn radius_query_contract() {
         .unwrap();
     let ids: Vec<usize> = resp.iter().map(|r| r.id).collect();
     assert_eq!(ids, vec![0, 1], "dist == r is inside the closed ball");
-    // Out-of-space centers need no scan fallback on the point tree.
+    // Out-of-space centers ride the point tree like any other.
     let resp = engine.execute(&Query::radius([-0.4, 0.5], 0.5)).unwrap();
     assert_eq!(resp.best.id, 0);
-    assert!(!resp.stats.fallback);
     // Typed failures.
     assert_eq!(
         engine

@@ -33,13 +33,13 @@ fn registry_counters_agree_with_engine_totals() {
     // Attaching twice is a harmless no-op.
     index.attach_metrics(registry.clone());
 
-    // Mixed workload: in-space queries, a k-NN, an out-of-space fallback,
+    // Mixed workload: in-space queries, a k-NN, an out-of-space query,
     // and two malformed queries.
     let queries = vec![
         Query::nn([0.21, 0.34]),
         Query::nn([0.91, 0.13]),
         Query::knn(vec![0.4, 0.6], 5),
-        Query::nn([2.5, 2.5]), // out of space → exact-scan fallback
+        Query::nn([2.5, 2.5]), // out of space: the same tree walk
         Query::nn([f64::NAN, 0.2]),
         Query::knn(vec![0.1, 0.2, 0.3], 2), // dim mismatch
     ];
@@ -52,7 +52,6 @@ fn registry_counters_agree_with_engine_totals() {
 
     let ok: Vec<_> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
     let errors = results.iter().filter(|r| r.is_err()).count() as u64;
-    let fallbacks = ok.iter().filter(|r| r.stats.fallback).count() as u64;
     let total_candidates: u64 = ok.iter().map(|r| r.stats.candidates as u64).sum();
     let total_pages: u64 = ok.iter().map(|r| r.stats.pages).sum();
 
@@ -62,8 +61,6 @@ fn registry_counters_agree_with_engine_totals() {
         Some(queries.len() as u64)
     );
     assert_eq!(snap.counter("nncell_query_errors_total"), Some(errors));
-    assert_eq!(snap.counter("nncell_query_fallback_total"), Some(fallbacks));
-    assert_eq!(snap.counter("nncell_query_fallback_total"), Some(engine.fallback_queries()));
     let latency = snap.histogram("nncell_query_latency_ns").unwrap();
     assert_eq!(latency.count(), ok.len() as u64);
     assert!(latency.sum > 0);

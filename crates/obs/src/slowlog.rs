@@ -27,8 +27,6 @@ pub struct SlowQueryEntry {
     pub candidates: usize,
     /// Pages touched by this query.
     pub pages: usize,
-    /// Whether the query took the linear-scan fallback route.
-    pub fallback: bool,
     /// Trace id of the sampled trace this query ran under, or 0 when
     /// the query was not traced. Links the slow-log entry to its span
     /// timeline in the flight recorder (`GET /debug/trace`).
@@ -103,7 +101,6 @@ impl SlowQueryLog {
         k: usize,
         candidates: usize,
         pages: usize,
-        fallback: bool,
         trace_id: u128,
     ) {
         if latency_ns < self.threshold_ns.load(Ordering::Relaxed) {
@@ -125,7 +122,6 @@ impl SlowQueryLog {
         slot.k = k;
         slot.candidates = candidates;
         slot.pages = pages;
-        slot.fallback = fallback;
         slot.trace_id = trace_id;
     }
 
@@ -168,7 +164,7 @@ mod tests {
     #[test]
     fn disabled_by_default() {
         let log = SlowQueryLog::new(4, 2);
-        log.record(u64::MAX - 1, &[0.0, 0.0], 1, 10, 2, false, 0);
+        log.record(u64::MAX - 1, &[0.0, 0.0], 1, 10, 2, 0);
         assert!(log.is_empty());
         assert_eq!(log.total_seen(), 0);
     }
@@ -177,16 +173,16 @@ mod tests {
     fn records_over_threshold_and_wraps() {
         let log = SlowQueryLog::new(2, 1);
         log.set_threshold_ns(100);
-        log.record(99, &[1.0], 1, 1, 1, false, 0); // under: dropped
-        log.record(100, &[2.0], 1, 2, 1, false, 0);
-        log.record(150, &[3.0], 2, 3, 2, true, 0xbeef);
-        log.record(200, &[4.0], 1, 4, 3, false, 0); // overwrites seq 1
+        log.record(99, &[1.0], 1, 1, 1, 0); // under: dropped
+        log.record(100, &[2.0], 1, 2, 1, 0);
+        log.record(150, &[3.0], 2, 3, 2, 0xbeef);
+        log.record(200, &[4.0], 1, 4, 3, 0); // overwrites seq 1
         assert_eq!(log.total_seen(), 3);
         let entries = log.drain();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].seq, 2);
         assert_eq!(entries[0].point, vec![3.0]);
-        assert!(entries[0].fallback);
+        assert_eq!(entries[0].pages, 2);
         assert_eq!(entries[0].trace_id, 0xbeef);
         assert_eq!(entries[1].seq, 3);
         assert_eq!(entries[1].latency_ns, 200);

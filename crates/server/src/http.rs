@@ -13,7 +13,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on the request-line + header block.
 pub const MAX_HEAD: usize = 8 * 1024;
@@ -40,8 +40,8 @@ pub struct Request {
 /// Why a request could not be read.
 #[derive(Debug)]
 pub enum RecvError {
-    /// Socket error or EOF mid-request (includes read-timeout expiry —
-    /// the per-request deadline at the transport layer).
+    /// Socket error (includes the read deadline passing — the
+    /// per-request deadline at the transport layer).
     Io(std::io::Error),
     /// Malformed request line or headers.
     BadRequest(&'static str),
@@ -59,14 +59,11 @@ impl std::fmt::Display for RecvError {
     }
 }
 
-/// Reads one request from the stream. `read_timeout` bounds every
-/// `read()` so a slow-loris client cannot hold a worker past its
-/// deadline.
-pub fn read_request(stream: &mut TcpStream, read_timeout: Duration) -> Result<Request, RecvError> {
-    stream
-        .set_read_timeout(Some(read_timeout))
-        .map_err(RecvError::Io)?;
-
+/// Reads one request from the stream, all of it before `deadline`: the
+/// socket's read timeout is re-armed with the time left before every
+/// `read()`, so a slow-loris client that trickles bytes cannot hold a
+/// worker past the deadline.
+pub fn read_request(stream: &mut TcpStream, deadline: Instant) -> Result<Request, RecvError> {
     // Read until the blank line, never past MAX_HEAD. A byte-at-a-time
     // loop would be slow; read in chunks and keep whatever trailing
     // bytes belong to the body.
@@ -79,7 +76,7 @@ pub fn read_request(stream: &mut TcpStream, read_timeout: Duration) -> Result<Re
             return Err(RecvError::TooLarge("header block over limit"));
         }
         let mut chunk = [0u8; 1024];
-        let n = stream.read(&mut chunk).map_err(RecvError::Io)?;
+        let n = read_before(stream, &mut chunk, deadline)?;
         if n == 0 {
             return Err(RecvError::BadRequest("connection closed mid-head"));
         }
@@ -126,7 +123,7 @@ pub fn read_request(stream: &mut TcpStream, read_timeout: Duration) -> Result<Re
     let mut body = buf[body_start.min(buf.len())..].to_vec();
     while body.len() < want {
         let mut chunk = vec![0u8; (want - body.len()).min(64 * 1024)];
-        let n = stream.read(&mut chunk).map_err(RecvError::Io)?;
+        let n = read_before(stream, &mut chunk, deadline)?;
         if n == 0 {
             return Err(RecvError::BadRequest("connection closed mid-body"));
         }
@@ -140,6 +137,19 @@ pub fn read_request(stream: &mut TcpStream, read_timeout: Duration) -> Result<Re
         body,
         traceparent,
     })
+}
+
+/// One `read()` that blocks no later than `deadline`.
+fn read_before(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> Result<usize, RecvError> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(RecvError::Io(std::io::Error::new(
+            std::io::ErrorKind::TimedOut,
+            "request read deadline passed",
+        )));
+    }
+    stream.set_read_timeout(Some(left)).map_err(RecvError::Io)?;
+    stream.read(buf).map_err(RecvError::Io)
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -200,6 +210,10 @@ mod tests {
         (a, b)
     }
 
+    fn soon() -> Instant {
+        Instant::now() + Duration::from_secs(1)
+    }
+
     #[test]
     fn parses_post_with_body() {
         let (mut c, mut s) = pair();
@@ -207,7 +221,7 @@ mod tests {
             b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\nhello world",
         )
         .expect("write");
-        let req = read_request(&mut s, Duration::from_secs(1)).expect("read");
+        let req = read_request(&mut s, soon()).expect("read");
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/query");
         assert_eq!(req.body, b"hello world");
@@ -221,7 +235,7 @@ mod tests {
             b"POST /query HTTP/1.1\r\nTraceParent: 00-0123456789abcdef0123456789abcdef-fedcba9876543210-01\r\nContent-Length: 0\r\n\r\n",
         )
         .expect("write");
-        let req = read_request(&mut s, Duration::from_secs(1)).expect("read");
+        let req = read_request(&mut s, soon()).expect("read");
         assert_eq!(
             req.traceparent.as_deref(),
             Some("00-0123456789abcdef0123456789abcdef-fedcba9876543210-01")
@@ -232,7 +246,7 @@ mod tests {
     fn parses_get_without_body() {
         let (mut c, mut s) = pair();
         c.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").expect("write");
-        let req = read_request(&mut s, Duration::from_secs(1)).expect("read");
+        let req = read_request(&mut s, soon()).expect("read");
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/healthz");
         assert!(req.body.is_empty());
@@ -244,7 +258,7 @@ mod tests {
         let big = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(MAX_HEAD));
         c.write_all(big.as_bytes()).expect("write");
         assert!(matches!(
-            read_request(&mut s, Duration::from_secs(1)),
+            read_request(&mut s, soon()),
             Err(RecvError::TooLarge(_))
         ));
 
@@ -252,7 +266,7 @@ mod tests {
         let head = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
         c.write_all(head.as_bytes()).expect("write");
         assert!(matches!(
-            read_request(&mut s, Duration::from_secs(1)),
+            read_request(&mut s, soon()),
             Err(RecvError::TooLarge(_))
         ));
     }
@@ -263,13 +277,13 @@ mod tests {
         c.write_all(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
             .expect("write");
         assert!(matches!(
-            read_request(&mut s, Duration::from_secs(1)),
+            read_request(&mut s, soon()),
             Err(RecvError::BadRequest(_))
         ));
 
         let (mut c, mut s) = pair();
         c.write_all(b"NOT-HTTP\r\n\r\n").expect("write");
-        assert!(read_request(&mut s, Duration::from_secs(1)).is_err());
+        assert!(read_request(&mut s, soon()).is_err());
     }
 
     #[test]
@@ -277,9 +291,36 @@ mod tests {
         let (_c, mut s) = pair();
         // Client never writes: the read must fail by timeout, not hang.
         let t0 = std::time::Instant::now();
-        let r = read_request(&mut s, Duration::from_millis(100));
+        let r = read_request(&mut s, t0 + Duration::from_millis(100));
         assert!(matches!(r, Err(RecvError::Io(_))));
         assert!(t0.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn trickling_client_cannot_outlast_the_deadline() {
+        let (mut c, mut s) = pair();
+        // A head that never ends, one byte every 20 ms: each read() sees
+        // data well inside any per-read timeout, so only a bound on the
+        // whole request can stop it. The writer gives up after ~2 s (or
+        // once the server side hangs up).
+        let writer = std::thread::spawn(move || {
+            if c.write_all(b"GET / HTTP/1.1\r\nX-Pad: ").is_err() {
+                return;
+            }
+            for _ in 0..100 {
+                std::thread::sleep(Duration::from_millis(20));
+                if c.write_all(b"a").is_err() {
+                    return;
+                }
+            }
+        });
+        let t0 = Instant::now();
+        let r = read_request(&mut s, t0 + Duration::from_millis(100));
+        let took = t0.elapsed();
+        assert!(matches!(r, Err(RecvError::Io(_))), "{r:?}");
+        assert!(took < Duration::from_millis(150), "held for {took:?}");
+        drop(s);
+        writer.join().expect("writer thread");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   worker pool; when it fills, connections are shed immediately with
 //!   `429` + `Retry-After` instead of growing an unbounded backlog.
 //! - **Deadlines** — every request carries a budget from the moment it
-//!   is admitted; socket reads, queue wait, and the candidate search
+//!   is admitted; reading the request, queue wait, and the candidate search
 //!   inside the engine all count against it, and exhaustion answers
 //!   `503 deadline_exceeded`.
 //! - **Panic isolation** — handlers run under `catch_unwind`; a
@@ -24,8 +24,8 @@
 //! |---|---|---|---|
 //! | `/query` | POST | `{"point": [..], "k": n}` | `{"results": [{"id","dist"}..], "stats": {..}}` |
 //! | `/batch` | POST | `{"queries": [..]}` | per-query results or errors |
-//! | `/insert` | POST | `{"point": [..]}` | `{"id": n}` |
-//! | `/remove` | POST | `{"id": n}` | `{"removed": bool}` |
+//! | `/insert` | POST | `{"point": [..]}` | `{"id": n}` (`403 read_only` unless durable) |
+//! | `/remove` | POST | `{"id": n}` | `{"removed": bool}` (`403 read_only` unless durable) |
 //! | `/metrics` | GET | — | Prometheus text exposition |
 //! | `/healthz` | GET | — | liveness |
 //! | `/readyz` | GET | — | readiness (503 while draining) |
@@ -44,6 +44,6 @@ pub mod server;
 
 pub use client::{Client, ClientError, Response};
 pub use server::{
-    describe_http_metrics, install_signal_handlers, signal_received, ServeIndex, Server,
-    ServerConfig, ServerHandle,
+    describe_http_metrics, install_signal_handlers, signal_received, Server, ServerConfig,
+    ServerHandle,
 };
