@@ -26,7 +26,7 @@
 use nncell_bench::{env_usize, timed};
 use nncell_core::{BuildConfig, Registry, ShardedIndex};
 use nncell_data::{Generator, UniformGenerator};
-use nncell_server::{Client, Server, ServerConfig, ServeIndex};
+use nncell_server::{Client, Server, ServerConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -49,8 +49,7 @@ fn start(
         deadline: Duration::from_secs(30),
         ..ServerConfig::default()
     };
-    let server = Server::bind(config, ServeIndex::Sharded(Box::new(index)), Registry::new())
-        .expect("bind bench server");
+    let server = Server::bind(config, index, Registry::new()).expect("bind bench server");
     let addr = server.local_addr().to_string();
     let handle = server.handle();
     let join = std::thread::spawn(move || {

@@ -681,7 +681,11 @@ mod tests {
             }
         }
         drop(journal); // crash: no checkpoint
-        assert_eq!(ShardedIndex::manifest_shards(&dir), None);
+        let current = String::from_utf8(vfs.read(&dir.join("CURRENT")).unwrap()).unwrap();
+        assert!(
+            current.trim().parse::<u64>().is_ok(),
+            "CURRENT holds a bare generation, not a shard manifest: {current:?}"
+        );
 
         let d = ShardedIndex::open_durable_existing_with_vfs(Arc::clone(&vfs), &dir).unwrap();
         assert_eq!(d.num_shards(), 1);
