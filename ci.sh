@@ -4,9 +4,10 @@
 # The clippy step denies warnings on the crates that carry the
 # panic-free contract (`nncell-obs`, `nncell-lp`, `nncell-core`,
 # including the `vfs`/`wal`/`durable`/`memtable` modules and the fold
-# machinery in `shard`); their crate-level `#![warn(clippy::unwrap_used)]`
-# is promoted to an error here, so an `unwrap()` in library code fails
-# the gate while tests stay exempt.
+# machinery in `shard`, and `nncell-cells`, the offline NN-cells); their
+# crate-level `#![warn(clippy::unwrap_used)]` is promoted to an error
+# here, so an `unwrap()` in library code fails the gate while tests stay
+# exempt.
 #
 # The crash-injection suite runs under a pinned fault-schedule seed so a
 # red CI run is reproducible locally; override with e.g.
@@ -17,6 +18,19 @@ cd "$(dirname "$0")"
 
 echo "== build (release) =="
 cargo build --release --workspace
+
+echo "== every bench target compiles (figure, ablation and micro benches included) =="
+# The CI runs only a few benches below; this step keeps the rest building.
+cargo bench --no-run --workspace
+
+echo "== the serving stack links no LP solver =="
+# NN-cells are built offline by nncell-cells; the index, the server and
+# the CLI must not depend on nncell-lp, even transitively.
+serving_deps=$(cargo tree -e normal -p nncell-server -p nncell-cli -p nncell-core)
+if grep -q nncell-lp <<<"$serving_deps"; then
+    echo "dependency gate: FAIL — the serving stack depends on nncell-lp" >&2
+    exit 1
+fi
 
 echo "== tests (whole workspace) =="
 # Every member crate's suite, not only the root package: the shard, cell,
@@ -57,10 +71,10 @@ echo "== NN-Direction one-pass gather vs brute-force oracle (proptest) =="
 # walk; this proves it finds every halfspace minimum and the exact
 # top-(8·d+1) by (d², id), for d in {1, 2, 3, 8, 16}, on lattice ties,
 # halfspace-boundary points and trees after removes.
-cargo test -q -p nncell-core --lib strategy::
+cargo test -q -p nncell-cells --lib strategy::
 
 echo "== clippy (panic-free library crates) =="
-cargo clippy -p nncell-obs -p nncell-lp -p nncell-core -p nncell-server -p nncell-index --lib -- -D warnings -D clippy::unwrap_used
+cargo clippy -p nncell-obs -p nncell-lp -p nncell-core -p nncell-cells -p nncell-server -p nncell-index --lib -- -D warnings -D clippy::unwrap_used
 
 echo "== query-engine bench smoke (fixed seed; writes BENCH_query_engine.json) =="
 # Sequential vs parallel batch QPS on one fixed-seed workload; the bench

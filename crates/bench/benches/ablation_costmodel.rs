@@ -8,7 +8,7 @@
 //! never searches a neighborhood.
 
 use nncell_bench::{cell_index, as_queries, env_dims, env_usize, print_table};
-use nncell_core::{CellConfig, Strategy};
+use nncell_cells::{CellConfig, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::costmodel::{expected_access_fraction, expected_nn_distance};
 use nncell_index::{RStarTree, XTree};

@@ -5,14 +5,14 @@
 //! Sweeps `decompose_pieces ∈ {1, 2, 4, 8}` over one fixed-seed index and
 //! reports, per depth: NN-cell build time, cell-tree candidates per point
 //! query (the paper's overlap-driven number, via
-//! [`nncell_core::measured_candidates`]), and the cell query's
+//! [`nncell_cells::measured_candidates`]), and the cell query's
 //! throughput.
 //!
 //! What the sweep shows — and why the default is **no decomposition**:
 //! deeper decomposition does cut cell-tree candidates (fig. 13's claim,
 //! reproduced here), but it multiplies the cell build time. The serving
 //! engine walks the point tree and never reads cells, so the trade only
-//! matters to the paper's cell query ([`nncell_core::CellSet::nn`]),
+//! matters to the paper's cell query ([`nncell_cells::CellSet::nn`]),
 //! whose throughput the sweep reports beside the candidate count.
 //!
 //! Smoke-scale defaults (overridable via `NNCELL_N`, `NNCELL_DIM`,
@@ -20,7 +20,8 @@
 //! JSON lands in `BENCH_ablation_decompose.json` for CI trend tracking.
 
 use nncell_bench::{as_queries, env_usize, print_table, timed};
-use nncell_core::{measured_candidates, BuildConfig, CellConfig, CellSet, NnCellIndex, Strategy};
+use nncell_cells::{measured_candidates, CellConfig, CellSet, Strategy};
+use nncell_core::{BuildConfig, NnCellIndex};
 use nncell_data::{Generator, UniformGenerator};
 
 fn main() {

@@ -7,7 +7,8 @@
 //!    unsplittable directories; the comparison quantifies that choice.
 
 use nncell_bench::{as_queries, cell_index, env_usize, print_table};
-use nncell_core::{BuildConfig, CellConfig, CellSet, NnCellIndex, Strategy};
+use nncell_cells::{CellConfig, CellSet, Strategy};
+use nncell_core::{BuildConfig, NnCellIndex};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_geom::Mbr;
 use nncell_index::{RStarTree, SplitPolicy, Tree, TreeConfig, XTree};
@@ -31,11 +32,13 @@ fn main() {
 
     // --- 1. block size sweep on the NN-cell index -----------------------
     let mut rows = Vec::new();
+    let index = NnCellIndex::build(points.clone(), BuildConfig::default()).expect("build");
     for block in [1024usize, 4096, 16384] {
-        // The cell tree takes its block size from the index.
-        let cfg = BuildConfig::builder().block_size(block).build();
-        let index = NnCellIndex::build(points.clone(), cfg).expect("build");
-        let cells = CellSet::build(&index, cell_cfg());
+        let cfg = CellConfig {
+            block_size: block,
+            ..cell_cfg()
+        };
+        let cells = CellSet::build(&index, cfg);
         for q in &queries {
             std::hint::black_box(cells.nn(&index, q).unwrap());
         }

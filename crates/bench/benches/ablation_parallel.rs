@@ -8,7 +8,7 @@
 //! are escaping from.
 
 use nncell_bench::{cell_index, as_queries, env_usize, print_table};
-use nncell_core::{CellConfig, Strategy};
+use nncell_cells::{CellConfig, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::{DeclusteredScan, LinearScan};
 

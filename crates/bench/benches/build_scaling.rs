@@ -19,9 +19,8 @@
 //! build workers, default 1), `NNCELL_BENCH_OUT`.
 
 use nncell_bench::{env_usize, timed};
-use nncell_core::{
-    linear_scan_nn, BuildConfig, CellConfig, CellSet, NnCellIndex, Query, QueryEngine, Strategy,
-};
+use nncell_cells::{CellConfig, CellSet, Strategy};
+use nncell_core::{linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryEngine};
 use nncell_data::{Generator, UniformGenerator};
 
 fn env_usize_list(name: &str, default: &[usize]) -> Vec<usize> {

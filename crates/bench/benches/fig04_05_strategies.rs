@@ -9,9 +9,8 @@
 //! wins the quality/performance trade-off at low d, NN-Direction at high d.
 
 use nncell_bench::{as_queries, env_dims, env_usize, print_table, secs, timed};
-use nncell_core::{
-    average_overlap, quality_to_performance, BuildConfig, CellConfig, CellSet, NnCellIndex, Strategy,
-};
+use nncell_cells::{average_overlap, quality_to_performance, CellConfig, CellSet, Strategy};
+use nncell_core::{BuildConfig, NnCellIndex};
 use nncell_data::{Generator, UniformGenerator};
 
 fn main() {

@@ -6,7 +6,7 @@
 //! 100k points; we run laptop scale, same ordering expected).
 
 use nncell_bench::{cell_index, as_queries, env_dims, env_usize, print_table, secs, timed};
-use nncell_core::{CellConfig, Strategy};
+use nncell_cells::{CellConfig, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::{LinearScan, RStarTree, XTree};
 

@@ -9,7 +9,7 @@
 //! trees' NN search is less degraded, see EXPERIMENTS.md).
 
 use nncell_bench::{cell_index, as_queries, env_dims, env_usize, print_table, timed};
-use nncell_core::{CellConfig, Strategy};
+use nncell_cells::{CellConfig, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::{RStarTree, XTree};
 

@@ -5,7 +5,7 @@
 //! R\*-tree and X-tree at every size and grows roughly logarithmically in N.
 
 use nncell_bench::{cell_index, as_queries, env_dims, env_usize, print_table, secs, timed};
-use nncell_core::{CellConfig, Strategy};
+use nncell_cells::{CellConfig, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::{RStarTree, XTree};
 

@@ -7,7 +7,7 @@
 //! tighter cell approximations.
 
 use nncell_bench::{cell_index, as_queries, env_usize, print_table, secs, timed};
-use nncell_core::{CellConfig, Strategy};
+use nncell_cells::{CellConfig, Strategy};
 use nncell_data::{FourierGenerator, Generator};
 use nncell_index::XTree;
 

@@ -5,7 +5,8 @@
 //! benchmark warms up, then reports the median of `SAMPLES` timed batches.
 
 use nncell_bench::env_usize;
-use nncell_core::{BuildConfig, CellConfig, CellSet, NnCellIndex, Strategy};
+use nncell_cells::{CellConfig, CellSet, Strategy};
+use nncell_core::{BuildConfig, NnCellIndex};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_geom::{DataSpace, Euclidean, Mbr};
 use nncell_index::{RStarTree, XTree};

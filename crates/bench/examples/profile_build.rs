@@ -8,7 +8,8 @@
 //! cargo run --release -p nncell-bench --example profile_build
 //! ```
 
-use nncell_core::{BuildConfig, CellConfig, CellSet, NnCellIndex, Strategy};
+use nncell_cells::{CellConfig, CellSet, Strategy};
+use nncell_core::{BuildConfig, NnCellIndex};
 use nncell_data::{Generator, UniformGenerator};
 use std::time::Instant;
 

@@ -8,7 +8,8 @@
 //! Results are printed as aligned tables — the same rows/series the paper
 //! plots — and recorded in `EXPERIMENTS.md`.
 
-use nncell_core::{BuildConfig, CellConfig, CellSet, NnCellIndex};
+use nncell_cells::{CellConfig, CellSet};
+use nncell_core::{BuildConfig, NnCellIndex};
 use nncell_geom::Point;
 use std::time::Instant;
 

@@ -9,19 +9,27 @@
 //! exact because every approximation is a superset of its true cell
 //! (Lemmas 1 and 2).
 //!
-//! A `CellSet` is a read-only snapshot of one index at one moment. No
-//! query of the serving path reads it; the paper's figure benches, the
-//! [`crate::quality`] metrics and the examples build one when they need
-//! cells.
+//! A `CellSet` is a read-only snapshot of one index at one moment. It
+//! reads the index only through its public API — points, liveness and
+//! metric — and STR-loads its own point X-tree over the live points for
+//! the rival gather, so the serving layout can change without touching
+//! it. No query of the serving path reads a `CellSet`; the paper's figure
+//! benches, the [`crate::quality`] metrics and the examples build one
+//! when they need cells.
 
 use crate::config::{CellConfig, Strategy};
 use crate::decompose::decompose_cell;
-use crate::index::{NnCellIndex, QueryResult, STR_FILL};
 use crate::strategy::{gather_rival_ids, nearest_rivals, GatherScratch};
-use nncell_geom::{Halfspace, Mbr, Metric};
+use nncell_core::{NnCellIndex, QueryResult};
+use nncell_geom::{DataSpace, Halfspace, Mbr, Metric, Point};
 use nncell_index::{IoStats, ItemId, PageId, TreeConfig, XTree};
 use nncell_lp::{CellLpStats, CellSolve, VoronoiLp};
 use std::time::Instant;
+
+/// STR bulk-load fill fraction of both trees, the same packing the
+/// serving index loads its point tree with, so a freshly built index and
+/// the gather see the same pages.
+const STR_FILL: f64 = 0.9;
 
 /// Bits of the cell-tree item id reserved for the piece index; the rest is
 /// the point id. Decomposition budgets are tiny (≤ ~10 pieces), so 10 bits
@@ -162,8 +170,8 @@ impl CellSet {
     /// Infallible: LP breakdowns degrade to the data-space clamp, which
     /// keeps every approximation a superset (Lemma 1).
     ///
-    /// Cells are independent given the index's read-only point tree, so
-    /// the computation fans out across `cfg.threads` workers.
+    /// Cells are independent given the read-only gather tree, so the
+    /// computation fans out across `cfg.threads` workers.
     ///
     /// # Panics
     /// Panics if `cfg.decompose_pieces` exceeds 1024, the most pieces the
@@ -174,13 +182,29 @@ impl CellSet {
             "decomposition budget exceeds {MAX_PIECES}"
         );
         let start = Instant::now();
+        let d = index.dim();
+        let points = index.points();
+        let n = points.len();
+        let alive: Vec<bool> = (0..n).map(|id| index.is_live(id)).collect();
+        // The rivals are gathered from a point tree over the live points,
+        // packed here rather than borrowed from the index.
+        let tree_cfg = TreeConfig::xtree(d).with_block_size(cfg.block_size);
+        let point_tree = packed_tree(
+            tree_cfg.clone().with_point_leaves(true),
+            (0..n)
+                .filter(|&id| alive[id])
+                .map(|id| (Mbr::from_point(points[id].as_slice()), id as u64))
+                .collect(),
+        );
         let builder = Builder {
-            index,
-            vlp: VoronoiLp::new(index.metric().clone(), index.space().clone(), cfg.solver)
+            points,
+            alive: &alive,
+            live: index.len(),
+            point_tree: &point_tree,
+            vlp: VoronoiLp::new(index.metric().clone(), DataSpace::unit(d), cfg.solver)
                 .with_budget(cfg.lp_budget),
             cfg: &cfg,
         };
-        let n = index.points().len();
         let threads = cfg.threads.clamp(1, n.max(1));
         let builder = &builder;
         let chunk = n.div_ceil(threads).max(1);
@@ -194,7 +218,7 @@ impl CellSet {
                         let mut scratch = GatherScratch::new();
                         let part: Vec<(usize, CellComputation)> = (w * chunk
                             ..((w + 1) * chunk).min(n))
-                            .filter(|&id| index.is_live(id))
+                            .filter(|&id| builder.alive[id])
                             .map(|id| (id, builder.compute_cell_pieces(id, &mut scratch)))
                             .collect();
                         (part, elapsed_nanos(batch_start))
@@ -228,12 +252,7 @@ impl CellSet {
                 cells[id] = CellApprox { pieces };
             }
         }
-        let tree_cfg = TreeConfig::xtree(index.dim()).with_block_size(index.config().block_size);
-        let tree = if items.is_empty() {
-            XTree::with_config(tree_cfg)
-        } else {
-            XTree::bulk_load(tree_cfg, items, STR_FILL)
-        };
+        let tree = packed_tree(tree_cfg, items);
         stats.profile.bulk_load.add(elapsed_nanos(store_start));
         stats.seconds = start.elapsed().as_secs_f64();
         Self {
@@ -326,11 +345,11 @@ impl CellSet {
         if ids.is_empty() {
             ids.extend((0..index.points().len()).filter(|&id| index.is_live(id)));
         }
-        let metric = index.metric();
+        let (metric, points) = (index.metric(), index.points());
         let mut best: Option<(usize, f64)> = None;
         for id in ids {
             let bound = best.map_or(f64::INFINITY, |b| b.1);
-            if let Some(d2) = metric.dist_sq_early_abort(q, index.flat_point(id), bound) {
+            if let Some(d2) = metric.dist_sq_early_abort(q, points[id].as_slice(), bound) {
                 if d2 < bound {
                     best = Some((id, d2));
                 }
@@ -351,7 +370,7 @@ impl CellSet {
     pub fn verify_integrity<M: Metric>(&self, index: &NnCellIndex<M>) -> IntegrityReport {
         const TOL: f64 = 1e-9;
         let d = index.dim();
-        let space = index.space();
+        let space = DataSpace::unit(d);
         let mut report = IntegrityReport::default();
         for (id, cell) in self.cells.iter().enumerate() {
             if !index.is_live(id) {
@@ -384,16 +403,30 @@ impl CellSet {
     }
 }
 
+/// An X-tree STR-packed with `items` (an empty tree when there are none).
+fn packed_tree(cfg: TreeConfig, items: Vec<(Mbr, ItemId)>) -> XTree {
+    if items.is_empty() {
+        XTree::with_config(cfg)
+    } else {
+        XTree::bulk_load(cfg, items, STR_FILL)
+    }
+}
+
 /// The cell-tree item id of piece `piece_idx` of point `id`'s cell.
 fn piece_key(id: usize, piece_idx: usize) -> ItemId {
     debug_assert!(piece_idx < MAX_PIECES);
     ((id as u64) << PIECE_BITS) | piece_idx as u64
 }
 
-/// Everything one cell computation reads: the index, its LP solver, and
-/// the configuration. Shared read-only by the build workers.
+/// Everything one cell computation reads: the index's point slots and
+/// liveness, the gather tree over the live points, the LP solver, and the
+/// configuration. Shared read-only by the build workers.
 struct Builder<'a, M: Metric> {
-    index: &'a NnCellIndex<M>,
+    points: &'a [Point],
+    alive: &'a [bool],
+    /// Live points at build time (sizes the Sphere radius).
+    live: usize,
+    point_tree: &'a XTree,
     vlp: VoronoiLp<M>,
     cfg: &'a CellConfig,
 }
@@ -403,23 +436,22 @@ impl<M: Metric> Builder<'_, M> {
     /// Infallible: LP breakdowns degrade to the data-space clamp inside
     /// [`VoronoiLp`], which keeps the approximation a superset (Lemma 1).
     fn compute_cell_pieces(&self, id: usize, scratch: &mut GatherScratch) -> CellComputation {
-        let idx = self.index;
-        let points = idx.points();
+        let points = self.points;
         let p = &points[id];
-        let d = idx.dim();
+        let d = p.dim();
         let seed = self.cfg.seed ^ ((id as u64).wrapping_mul(0x9e3779b97f4a7c15));
         let mut stats = CellLpStats::default();
         let mut timings = CellTimings::default();
 
         let phase_start = Instant::now();
-        let cons = if self.cfg.strategy == Strategy::CorrectPruned && idx.len() > 4 * d + 1 {
+        let cons = if self.cfg.strategy == Strategy::CorrectPruned && self.live > 4 * d + 1 {
             // Exactness-preserving two-step prune (see nncell-lp docs):
             // 1. rough superset MBR from the 4·d nearest rivals;
             // 2. only rivals within twice the rough box's max corner
             //    distance can have a bisector cutting that box, so a tree
             //    sphere query bounds the candidate set without scanning N;
             // 3. the per-bisector prune drops the rest.
-            let near = nearest_rivals(p, id, idx.point_tree(), 4 * d);
+            let near = nearest_rivals(p, id, self.point_tree, 4 * d);
             let near_cons = self
                 .vlp
                 .bisectors(p, near.iter().map(|&j| points[j].as_slice()));
@@ -445,12 +477,12 @@ impl<M: Metric> Builder<'_, M> {
                 w_min = w_min.min(w);
             }
             let r_cut = 2.0 * max_d2.sqrt() / w_min.sqrt();
-            let mut rivals: Vec<usize> = idx
-                .point_tree()
+            let mut rivals: Vec<usize> = self
+                .point_tree
                 .sphere_query(p, r_cut)
                 .into_iter()
                 .map(|x| x as usize)
-                .filter(|&j| j != id && idx.is_live(j))
+                .filter(|&j| j != id && self.alive[j])
                 .collect();
             rivals.sort_unstable();
             rivals.dedup();
@@ -463,9 +495,9 @@ impl<M: Metric> Builder<'_, M> {
                 self.cfg,
                 id,
                 points,
-                idx.alive(),
-                idx.point_tree(),
-                idx.len(),
+                self.alive,
+                self.point_tree,
+                self.live,
                 scratch,
             );
             self.vlp
@@ -525,9 +557,7 @@ fn elapsed_nanos(start: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BuildConfig;
-    use crate::scan::linear_scan_nn;
-    use nncell_geom::Point;
+    use nncell_core::{linear_scan_nn, BuildConfig};
     use nncell_lp::SolverKind;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};

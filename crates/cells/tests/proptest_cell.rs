@@ -1,10 +1,8 @@
 //! Property-based tests of the paper's two lemmas on NN-cells
 //! ([`CellSet`]), plus dynamic updates of the serving index.
 
-use nncell_core::{
-    linear_scan_nn, BuildConfig, CellConfig, CellSet, NnCellIndex, Query, QueryEngine,
-    Strategy as BuildStrategy,
-};
+use nncell_cells::{CellConfig, CellSet, Strategy as BuildStrategy};
+use nncell_core::{linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryEngine};
 use nncell_geom::{dist_sq, Point};
 use proptest::prelude::*;
 
@@ -62,24 +60,37 @@ proptest! {
     /// Lemma 2, tested directly on the cells: the cell-tree point query
     /// plus refinement answers exactly like the scan — same id, same
     /// distance bits — for every strategy, with and without
-    /// decomposition, with queries on lattice ties.
+    /// decomposition, with queries on lattice ties, and with dead slots
+    /// (removed before the cells are built, so the gather's own tree must
+    /// skip them).
     #[test]
     fn lemma2_cell_query_is_bit_identical_to_scan(
         pts in lattice_set(3, 3, 30),
         queries in prop::collection::vec(prop::collection::vec(lattice_coord(), 3), 8),
         strat_pick in 0usize..STRATEGIES.len(),
         decompose in prop::bool::ANY,
+        removes in prop::collection::vec(0usize..30, 0..6),
     ) {
         let strategy = STRATEGIES[strat_pick];
         let mut cfg = CellConfig::builder().strategy(strategy).seed(17);
         if decompose {
             cfg = cfg.decompose_pieces(4);
         }
-        let index = NnCellIndex::build(pts.clone(), BuildConfig::default()).unwrap();
+        let mut index = NnCellIndex::build(pts.clone(), BuildConfig::default()).unwrap();
+        // The scan reference keeps every id in place; a dead slot becomes
+        // a point outside the unit cube, which no lattice query is nearest
+        // to or tied with.
+        let mut reference = pts.clone();
+        for &r in &removes {
+            let id = r % pts.len();
+            if index.len() > 1 && index.remove(id) {
+                reference[id] = Point::new(vec![9.0; 3]);
+            }
+        }
         let cells = CellSet::build(&index, cfg.build());
         for q in &queries {
             let got = cells.nn(&index, q).unwrap();
-            let want = linear_scan_nn(&pts, q).unwrap();
+            let want = linear_scan_nn(&reference, q).unwrap();
             prop_assert_eq!(
                 (got.id, got.dist.to_bits()),
                 (want.id, want.dist.to_bits()),

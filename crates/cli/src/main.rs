@@ -30,24 +30,68 @@ mod csv;
 use args::Parsed;
 use nncell_core::wal::WalTail;
 use nncell_core::{
-    BuildConfig, FoldConfig, InputPolicy, NnCellIndex, Query, Registry, ShardedIndex, Strategy,
+    BuildConfig, FoldConfig, InputPolicy, NnCellIndex, Query, Registry, ShardedIndex,
 };
 use nncell_geom::Point;
 use nncell_data::{
     ClusteredGenerator, FourierGenerator, Generator, GridGenerator, SparseGenerator,
     UniformGenerator,
 };
+use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Instant;
+
+/// [`write_stdout`]'s state: stdout is open, closed by its reader, or
+/// failed with another I/O error.
+static STDOUT: AtomicU8 = AtomicU8::new(STDOUT_OPEN);
+const STDOUT_OPEN: u8 = 0;
+const STDOUT_CLOSED: u8 = 1;
+const STDOUT_FAILED: u8 = 2;
+
+/// Writes command output to stdout. `print!` panics once stdout is gone;
+/// here a reader that closes the pipe early (`nncell query … | head -1`)
+/// only ends the output: the command finishes its work quietly and exits
+/// 0. Any other write error is reported once and fails the command.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if STDOUT.load(Ordering::Relaxed) != STDOUT_OPEN {
+        return;
+    }
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            STDOUT.store(STDOUT_CLOSED, Ordering::Relaxed);
+        } else {
+            STDOUT.store(STDOUT_FAILED, Ordering::Relaxed);
+            eprintln!("error: writing to stdout: {e}");
+        }
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() || argv[0] == "help" || argv[0] == "--help" {
+    let result = if argv.is_empty() || argv[0] == "help" || argv[0] == "--help" {
         print_help();
-        return ExitCode::SUCCESS;
-    }
-    match run(argv) {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(())
+    } else {
+        run(argv)
+    };
+    match result {
+        Ok(()) if STDOUT.load(Ordering::Relaxed) != STDOUT_FAILED => ExitCode::SUCCESS,
+        Ok(()) => ExitCode::FAILURE,
         Err(msg) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
@@ -95,26 +139,14 @@ fn cmd_generate(p: &Parsed) -> Result<(), String> {
         other => return Err(format!("unknown --kind {other:?}")),
     };
     csv::write_points(out, &points).map_err(|e| e.to_string())?;
-    println!("wrote {n} {kind} points (d={dim}) to {out}");
+    outln!("wrote {n} {kind} points (d={dim}) to {out}");
     Ok(())
-}
-
-fn parse_strategy(s: &str) -> Result<Strategy, String> {
-    Ok(match s {
-        "correct" => Strategy::Correct,
-        "correct-pruned" | "pruned" => Strategy::CorrectPruned,
-        "point" => Strategy::Point,
-        "sphere" => Strategy::Sphere,
-        "nn-direction" | "nndirection" => Strategy::NnDirection,
-        other => return Err(format!("unknown --strategy {other:?}")),
-    })
 }
 
 fn cmd_build(p: &Parsed) -> Result<(), String> {
     p.allow_only(&["points", "strategy", "out", "wal", "shards", "skip-invalid"])
         .map_err(|e| e.to_string())?;
-    if let Some(strategy) = p.get("strategy") {
-        parse_strategy(strategy)?;
+    if p.get("strategy").is_some() {
         eprintln!(
             "note: --strategy is ignored; the serving index builds no NN-cells \
              (they are built offline with `CellSet::build`)"
@@ -156,7 +188,7 @@ fn cmd_build(p: &Parsed) -> Result<(), String> {
         index.into_durable(dir).map_err(|e| e.to_string())?;
         sinks.push(format!("durable directory initialized at {dir}"));
     }
-    println!(
+    outln!(
         "built index of {n_points} points{} in {:.2}s — {}",
         if shards > 1 {
             format!(" across {shards} shard(s)")
@@ -167,14 +199,14 @@ fn cmd_build(p: &Parsed) -> Result<(), String> {
         sinks.join(", ")
     );
     if bs.skipped_points > 0 {
-        println!(
+        outln!(
             "skipped {} invalid input point(s) (--skip-invalid)",
             bs.skipped_points
         );
     }
     // `perfbench/src/procs.rs` parses this line, so its format stays;
     // the serving build runs no cell phase, so those print 0.
-    println!(
+    outln!(
         "build profile  : constraints {:.3}s/{} cell(s), LP {:.3}s, decomposition {:.3}s/{}, \
          bulk load {:.3}s",
         0.0,
@@ -225,16 +257,16 @@ fn cmd_query(p: &Parsed) -> Result<(), String> {
         .query(&query)
         .map_err(|e| e.to_string())?;
     if k == 1 && p.get("radius").is_none() {
-        println!(
+        outln!(
             "nearest neighbor: #{} at distance {:.6}",
             resp.best.id, resp.best.dist
         );
     } else {
         for (rank, r) in resp.iter().enumerate() {
-            println!("{:>3}. #{} at distance {:.6}", rank + 1, r.id, r.dist);
+            outln!("{:>3}. #{} at distance {:.6}", rank + 1, r.id, r.dist);
         }
     }
-    println!(
+    outln!(
         "stats: {} candidate(s), {} page(s)",
         resp.stats.candidates, resp.stats.pages
     );
@@ -249,7 +281,7 @@ fn cmd_insert(p: &Parsed) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let index = open_wal(dir)?;
     let id = index.insert(Point::new(coords)).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "inserted point #{id} into shard {} — journaled and fsynced \
          ({} record(s) across {} shard journal(s))",
         id % index.num_shards(),
@@ -270,7 +302,7 @@ fn cmd_remove(p: &Parsed) -> Result<(), String> {
         .map_err(|_| "bad --id (expected a point id)".to_string())?;
     let index = open_wal(dir)?;
     if index.remove(id).map_err(|e| e.to_string())? {
-        println!(
+        outln!(
             "removed point #{id} from shard {} — journaled and fsynced \
              ({} record(s) across {} shard journal(s))",
             id % index.num_shards(),
@@ -278,28 +310,28 @@ fn cmd_remove(p: &Parsed) -> Result<(), String> {
             index.num_shards()
         );
     } else {
-        println!("point #{id} is not live; nothing journaled");
+        outln!("point #{id} is not live; nothing journaled");
     }
     maybe_checkpoint(p, &index)
 }
 
 fn print_recovery(rec: &nncell_core::RecoveryReport, generation: u64) {
-    println!("generation     : {}", rec.generation);
-    println!("records replayed: {}", rec.replayed);
+    outln!("generation     : {}", rec.generation);
+    outln!("records replayed: {}", rec.replayed);
     if rec.skipped > 0 {
-        println!("records skipped : {}", rec.skipped);
+        outln!("records skipped : {}", rec.skipped);
     }
     match rec.wal_tail {
-        WalTail::Clean => println!("journal tail   : clean"),
-        WalTail::Truncated { offset } => println!(
+        WalTail::Clean => outln!("journal tail   : clean"),
+        WalTail::Truncated { offset } => outln!(
             "journal tail   : torn record at byte {offset} (unacknowledged write dropped)"
         ),
-        WalTail::Corrupt { offset } => println!(
+        WalTail::Corrupt { offset } => outln!(
             "journal tail   : corrupt record at byte {offset} (damaged suffix dropped)"
         ),
     }
     if rec.rotated {
-        println!("rotated        : damaged journal retired; now at generation {generation}");
+        outln!("rotated        : damaged journal retired; now at generation {generation}");
     }
 }
 
@@ -308,10 +340,10 @@ fn cmd_recover(p: &Parsed) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let index = open_wal(p.require("wal").map_err(|e| e.to_string())?)?;
     for (i, rec) in index.recovery().iter().enumerate() {
-        println!("--- shard {i} ---");
+        outln!("--- shard {i} ---");
         print_recovery(rec, rec.generation + u64::from(rec.rotated));
     }
-    println!("live points    : {} across {} shard(s)", index.len(), index.num_shards());
+    outln!("live points    : {} across {} shard(s)", index.len(), index.num_shards());
     maybe_checkpoint(p, &index)
 }
 
@@ -325,7 +357,7 @@ fn cmd_flush(p: &Parsed) -> Result<(), String> {
     let index = open_wal(p.require("wal").map_err(|e| e.to_string())?)?;
     let replayed: usize = index.recovery().iter().map(|r| r.replayed).sum();
     index.checkpoint().map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "flushed {replayed} journaled record(s) into the snapshot across {} shard(s); \
          journals reset",
         index.num_shards()
@@ -339,7 +371,7 @@ fn cmd_flush(p: &Parsed) -> Result<(), String> {
 fn maybe_checkpoint(p: &Parsed, index: &ShardedIndex) -> Result<(), String> {
     if p.get("checkpoint").is_some() {
         index.checkpoint().map_err(|e| e.to_string())?;
-        println!("checkpointed all {} shard(s) (journals reset)", index.num_shards());
+        outln!("checkpointed all {} shard(s) (journals reset)", index.num_shards());
     }
     Ok(())
 }
@@ -348,10 +380,9 @@ fn cmd_info(p: &Parsed) -> Result<(), String> {
     p.allow_only(&["index"]).map_err(|e| e.to_string())?;
     let index = NnCellIndex::load(p.require("index").map_err(|e| e.to_string())?)
         .map_err(|e| e.to_string())?;
-    println!("dimensionality : {}", index.dim());
-    println!("live points    : {}", index.len());
-    println!("point slots    : {}", index.points().len());
-    println!("block size     : {} B", index.config().block_size);
+    outln!("dimensionality : {}", index.dim());
+    outln!("live points    : {}", index.len());
+    outln!("point slots    : {}", index.points().len());
     Ok(())
 }
 
@@ -375,7 +406,6 @@ fn cmd_bench(p: &Parsed) -> Result<(), String> {
         .map(|pt| Query::knn(pt.as_slice(), k))
         .collect();
 
-    index.reset_stats();
     let t = Instant::now();
     let seq = index.engine().with_threads(1).batch(&queries);
     let seq_s = t.elapsed().as_secs_f64();
@@ -410,12 +440,12 @@ fn cmd_bench(p: &Parsed) -> Result<(), String> {
         .sum();
     let seq_qps = n_q as f64 / seq_s;
     let par_qps = n_q as f64 / par_s;
-    println!(
+    outln!(
         "{n_q} queries (k={k}), {ok} answered — sequential {seq_qps:.0} q/s, \
          {threads}-thread batch {par_qps:.0} q/s ({:.2}x)",
         par_qps / seq_qps
     );
-    println!(
+    outln!(
         "per query: {:.1} candidates, {:.1} pages, {:.1} subtrees pruned, \
          {:.1} early-aborted; parallel results bit-identical to sequential",
         cands as f64 / n_q as f64,
@@ -434,7 +464,7 @@ fn cmd_bench(p: &Parsed) -> Result<(), String> {
             pages as f64 / n_q as f64,
         );
         std::fs::write(path, json).map_err(|e| e.to_string())?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(())
 }
@@ -523,27 +553,26 @@ fn cmd_serve(p: &Parsed) -> Result<(), String> {
     nncell_server::install_signal_handlers();
     // The E2E harness starts us with --addr 127.0.0.1:0 and parses this
     // line for the real port, so flush it through any pipe buffering.
-    println!("listening on {}", server.local_addr());
-    println!(
+    outln!("listening on {}", server.local_addr());
+    outln!(
         "serving: POST /query /batch /insert /remove — GET /metrics /healthz /readyz /debug/trace"
     );
     let index = server.index();
     if index.is_durable() {
-        println!(
+        outln!(
             "write path: journaled memtable tail (O(1) acks, background folder, \
              backpressure past {} unfolded ops)",
             index.fold_config().tail_max
         );
     } else {
-        println!("write path: none (read-only: --index is not durable; serve --wal DIR to take writes)");
+        outln!("write path: none (read-only: --index is not durable; serve --wal DIR to take writes)");
     }
-    println!("shutdown: SIGTERM/ctrl-c drains in-flight requests, then checkpoints");
-    use std::io::Write as _;
+    outln!("shutdown: SIGTERM/ctrl-c drains in-flight requests, then checkpoints");
     let _ = std::io::stdout().flush();
     server
         .run()
         .map_err(|e| format!("final checkpoint failed: {e}"))?;
-    println!("drained and checkpointed; bye");
+    outln!("drained and checkpointed; bye");
     Ok(())
 }
 
@@ -571,23 +600,23 @@ fn cmd_stats_server(addr: &str) -> Result<(), String> {
             .sum::<f64>() as u64
     };
     let ready = matches!(client.get("/readyz"), Ok(r) if r.status == 200);
-    println!("server         : {addr} ({})", if ready { "ready" } else { "draining/not ready" });
-    println!(
+    outln!("server         : {addr} ({})", if ready { "ready" } else { "draining/not ready" });
+    outln!(
         "admission      : queue depth {}, {} in flight, {} shed (429) total",
         value("nncell_http_queue_depth"),
         value("nncell_http_inflight"),
         value("nncell_http_shed_total"),
     );
-    println!(
+    outln!(
         "backpressure   : Retry-After {}s advertised on 429",
         value("nncell_http_retry_after_seconds"),
     );
-    println!(
+    outln!(
         "failures       : {} deadline-exceeded (503), {} isolated panic(s) (500)",
         value("nncell_http_deadline_exceeded_total"),
         value("nncell_http_panics_total"),
     );
-    println!(
+    outln!(
         "requests       : {} completed",
         value("nncell_http_requests_total"),
     );
@@ -597,7 +626,7 @@ fn cmd_stats_server(addr: &str) -> Result<(), String> {
     // server takes writes — say so explicitly instead of silently
     // omitting the folder's health.
     if text.contains("nncell_tail_depth") {
-        println!(
+        outln!(
             "write path     : {} unfolded tail op(s), {} fold(s) ({} record(s)), \
              {} backpressure shed(s)",
             value("nncell_tail_depth"),
@@ -605,7 +634,7 @@ fn cmd_stats_server(addr: &str) -> Result<(), String> {
             value("nncell_fold_records_total"),
             value("nncell_tail_backpressure_total"),
         );
-        println!(
+        outln!(
             "folder         : {}, {} fold failure(s)",
             if value("nncell_fold_degraded") > 0 {
                 "DEGRADED (folds failing; tail absorbing writes, queries exact)"
@@ -615,10 +644,10 @@ fn cmd_stats_server(addr: &str) -> Result<(), String> {
             value("nncell_fold_failures_total"),
         );
     } else {
-        println!("write path     : none (read-only snapshot, no memtable tail)");
+        outln!("write path     : none (read-only snapshot, no memtable tail)");
     }
     if text.contains("nncell_trace_spans_total") {
-        println!(
+        outln!(
             "tracing        : {} span(s) in {} trace(s) recorded, {} evicted from the flight ring",
             value("nncell_trace_spans_total"),
             value("nncell_trace_traces_total"),
@@ -651,12 +680,12 @@ fn cmd_trace(p: &Parsed) -> Result<(), String> {
         Some(path) => {
             std::fs::write(path, &body).map_err(|e| format!("write {path}: {e}"))?;
             let spans = body.matches("\"ph\":\"X\"").count();
-            println!(
+            outln!(
                 "wrote {spans} span(s) to {path} — open in Perfetto (ui.perfetto.dev) \
                  or chrome://tracing"
             );
         }
-        None => println!("{body}"),
+        None => outln!("{body}"),
     }
     Ok(())
 }
@@ -709,11 +738,11 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
     }
     let snap = registry.snapshot();
     if p.get("json").is_some() {
-        println!("{}", snap.to_json().trim_end());
+        outln!("{}", snap.to_json().trim_end());
         return Ok(());
     }
     if p.get("prom").is_some() {
-        print!("{}", snap.to_prometheus());
+        out!("{}", snap.to_prometheus());
         return Ok(());
     }
     if p.get("slow").is_some() {
@@ -725,7 +754,7 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
             } else {
                 String::new()
             };
-            println!(
+            outln!(
                 "{scope}slow queries (threshold {slow_threshold_us} µs): {} captured, {} total seen",
                 entries.len(),
                 slow.total_seen()
@@ -738,7 +767,7 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
                 } else {
                     String::new()
                 };
-                println!(
+                outln!(
                     "  #{:<4} {:>10.1} µs  k={} candidates={} pages={}{trace}  [{}]",
                     e.seq,
                     e.latency_ns as f64 / 1_000.0,
@@ -760,7 +789,7 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
     // into one number.
     let shards = index.num_shards();
     let many = shards > 1;
-    println!(
+    outln!(
         "workload       : {n_q} queries (k={k}, seed={seed}){}",
         if many {
             format!(" fanned out across {shards} shards")
@@ -769,7 +798,7 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
         }
     );
     let get = |name: &str| snap.sum_counters(name).unwrap_or(0);
-    println!(
+    outln!(
         "queries        : {} ok, {} error(s)",
         get("nncell_queries_total") - get("nncell_query_errors_total"),
         get("nncell_query_errors_total"),
@@ -783,7 +812,7 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
             } else {
                 "latency        ".to_string()
             };
-            println!(
+            outln!(
                 "{label}: p50 ≤ {:.1} µs, p90 ≤ {:.1} µs, p99 ≤ {:.1} µs, max {:.1} µs",
                 h.percentile(0.50) as f64 / 1_000.0,
                 h.percentile(0.90) as f64 / 1_000.0,
@@ -794,7 +823,7 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
     }
     let shard0 = if many { " (shard 0)" } else { "" };
     if let Some(h) = snap.histogram(&series("nncell_query_candidates", 0)) {
-        println!(
+        outln!(
             "candidates     : mean {:.1}, p99 ≤ {}, max {}{shard0}",
             h.mean(),
             h.percentile(0.99),
@@ -802,21 +831,21 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
         );
     }
     if let Some(h) = snap.histogram(&series("nncell_query_pages", 0)) {
-        println!(
+        outln!(
             "pages/query    : mean {:.1}, p99 ≤ {}, max {}{shard0}",
             h.mean(),
             h.percentile(0.99),
             h.max,
         );
     }
-    println!(
+    outln!(
         "point tree     : {} page read(s), {} cache hit(s), {} split(s)",
         get("nncell_point_tree_page_reads_total"),
         get("nncell_point_tree_cache_hits_total"),
         get("nncell_point_tree_splits_total"),
     );
     if snap.sum_counters("nncell_wal_appends_total").is_some() {
-        println!(
+        outln!(
             "durability     : {} WAL append(s), {} fsync(s), {} replayed, {} dropped, {} rotation(s)",
             get("nncell_wal_appends_total"),
             get("nncell_wal_fsyncs_total"),
@@ -829,7 +858,7 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
 }
 
 fn print_help() {
-    println!(
+    outln!(
         "nncell — exact nearest-neighbor search over a point X-tree, after the
 NN-cell paper (ICDE'98)
 
@@ -839,8 +868,7 @@ COMMANDS
   generate  --out FILE [--kind uniform|grid|sparse|clustered|fourier]
             [--n 1000] [--dim 8] [--seed 42] [--clusters 8] [--sigma 0.05]
   build     --points FILE (--out FILE | --wal DIR) [--shards S] [--skip-invalid]
-            [--strategy correct|correct-pruned|point|sphere|nn-direction
-             (validated, then ignored: the index builds no NN-cells)]
+            [--strategy NAME  (ignored: the index builds no NN-cells)]
   query     (--index FILE | --wal DIR) --point x,y,... [--k K | --radius R]
   insert    --wal DIR --point x,y,... [--checkpoint]
   remove    --wal DIR --id N [--checkpoint]
@@ -862,7 +890,7 @@ COMMANDS
 
 `build` validates the points and STR-bulk-loads the point X-tree that
 every query walks; the paper's NN-cells are not part of the serving
-index (the library builds them offline with `CellSet::build`). `query
+index (the `nncell-cells` library builds them offline with `CellSet::build`). `query
 --radius R` returns every point within distance R, sorted by distance.
 
 `build --shards S` (S > 1) partitions points round-robin into S shards,

@@ -1,6 +1,6 @@
 //! The serving index: points, liveness and the point X-tree, with exact
-//! queries and dynamic updates. NN-cells are built offline from it
-//! ([`crate::CellSet`]).
+//! queries and dynamic updates. The paper's NN-cells are built offline
+//! from it, by the `nncell-cells` crate.
 
 use crate::config::{BuildConfig, InputPolicy};
 use crate::engine::QueryEngine;
@@ -15,7 +15,11 @@ use std::time::Instant;
 /// STR bulk-load fill fraction: nearly packed (reads dominate a built
 /// index), with a little slack so early dynamic inserts don't split every
 /// touched leaf.
-pub(crate) const STR_FILL: f64 = 0.9;
+const STR_FILL: f64 = 0.9;
+
+/// Page size of the point tree, in bytes. Snapshots still record it
+/// (`NNCELL03`), so the file format carries the field.
+pub(crate) const PAGE_BYTES: usize = 4096;
 
 /// An exact nearest-neighbor answer.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -98,9 +102,9 @@ impl std::error::Error for BuildError {}
 /// row-major copy of them, the liveness mask and the point X-tree that
 /// every query walks ([`Self::engine`] + [`crate::Query`]).
 ///
-/// The paper's NN-cells are not part of it: [`crate::CellSet::build`]
-/// derives them from an index when a bench or a quality measurement
-/// needs them.
+/// The paper's NN-cells are not part of it: the `nncell-cells` crate
+/// derives them from an index's public points and metric when a bench or
+/// a quality measurement needs them.
 pub struct NnCellIndex<M: Metric = Euclidean> {
     cfg: BuildConfig,
     points: Vec<Point>,
@@ -142,7 +146,7 @@ impl<M: Metric> NnCellIndex<M> {
     /// An empty index with an explicit metric.
     pub fn new_with_metric(dim: usize, cfg: BuildConfig, metric: M) -> Self {
         assert!(dim > 0, "dimensionality must be positive");
-        let point_tree = XTree::with_config(point_tree_config(dim, &cfg));
+        let point_tree = XTree::with_config(point_tree_config(dim));
         Self {
             cfg,
             points: Vec::new(),
@@ -201,7 +205,7 @@ impl<M: Metric> NnCellIndex<M> {
             .map(|(i, p)| (Mbr::from_point(p.as_slice()), i as u64))
             .collect();
         if !items.is_empty() {
-            idx.point_tree = XTree::bulk_load(point_tree_config(dim, &idx.cfg), items, STR_FILL);
+            idx.point_tree = XTree::bulk_load(point_tree_config(dim), items, STR_FILL);
         }
         idx.build_stats.bulk_load_seconds = load_start.elapsed().as_secs_f64();
         idx.points_flat = points.iter().flat_map(|p| p.as_slice()).copied().collect();
@@ -255,15 +259,9 @@ impl<M: Metric> NnCellIndex<M> {
         self.point_tree.stats()
     }
 
-    /// Resets the point tree's cost counters.
-    pub fn reset_stats(&self) {
-        self.point_tree.reset_stats();
-    }
-
-    /// Enables a simulated LRU page cache of `pages` pages on the point
-    /// tree (0 disables) — the structure queries read.
-    pub fn enable_cache(&self, pages: usize) {
-        self.point_tree.enable_cache(pages);
+    /// The metric distances are measured in.
+    pub fn metric(&self) -> &M {
+        &self.metric
     }
 
     // ------------------------------------------------------------------
@@ -331,16 +329,6 @@ impl<M: Metric> NnCellIndex<M> {
     /// The liveness mask, indexed by point id.
     pub(crate) fn alive(&self) -> &[bool] {
         &self.alive
-    }
-
-    /// The metric in use.
-    pub(crate) fn metric(&self) -> &M {
-        &self.metric
-    }
-
-    /// The data space points must lie in.
-    pub(crate) fn space(&self) -> &DataSpace {
-        &self.space
     }
 
     /// Row `id` of the flat point layout.
@@ -451,10 +439,10 @@ impl<M: Metric> Clone for NnCellIndex<M> {
     }
 }
 
-/// The point tree's configuration: point leaves, the configured block size.
-fn point_tree_config(dim: usize, cfg: &BuildConfig) -> TreeConfig {
+/// The point tree's configuration: point leaves on 4 KB pages.
+fn point_tree_config(dim: usize) -> TreeConfig {
     TreeConfig::xtree(dim)
-        .with_block_size(cfg.block_size)
+        .with_block_size(PAGE_BYTES)
         .with_point_leaves(true)
 }
 

@@ -1,9 +1,9 @@
 //! Index persistence.
 //!
 //! **Format `NNCELL03`** (current): an 8-byte magic, the payload — the
-//! dimensionality, the point tree's block size, and every point slot with
-//! its liveness flag — and a CRC32 (IEEE) trailer over everything before
-//! it. [`NnCellIndex::load`] verifies the checksum before parsing, so a
+//! dimensionality, the point tree's block size (always 4096; validated on
+//! load, then ignored), and every point slot with its liveness flag — and
+//! a CRC32 (IEEE) trailer over everything before it. [`NnCellIndex::load`] verifies the checksum before parsing, so a
 //! bit flip anywhere in the file is a typed [`PersistError::Corrupt`] —
 //! never a panic, and never a silently wrong index. Loading STR-bulk-loads
 //! the point tree over the live points, exactly as a build does.
@@ -12,7 +12,7 @@
 //! checksum) carried each point's NN-cell pieces and the cell
 //! construction settings as well. Both still load: the checksum, the
 //! settings and the cell section are validated as before, then the cells
-//! are dropped (the serving index holds none; [`crate::CellSet::build`]
+//! are dropped (the serving index holds none; the `nncell-cells` crate
 //! recomputes them on demand).
 //!
 //! Every size field read from disk is validated against the actual number
@@ -22,7 +22,7 @@
 //! Only the Euclidean index is persistable: the metric is not serialized.
 
 use crate::config::BuildConfig;
-use crate::index::NnCellIndex;
+use crate::index::{NnCellIndex, PAGE_BYTES};
 use crate::vfs::{write_atomic, StdVfs, Vfs};
 use nncell_geom::{Euclidean, Point};
 use std::io;
@@ -175,7 +175,7 @@ impl NnCellIndex<Euclidean> {
         let mut bytes = Vec::with_capacity(32 + self.points().len() * (self.dim() * 8 + 1));
         bytes.extend_from_slice(MAGIC_V3);
         put_u32(&mut bytes, self.dim() as u32);
-        put_u32(&mut bytes, self.config().block_size as u32);
+        put_u32(&mut bytes, PAGE_BYTES as u32);
         put_u64(&mut bytes, self.points().len() as u64);
         for (id, p) in self.points().iter().enumerate() {
             bytes.push(self.is_live(id) as u8);
@@ -224,9 +224,9 @@ impl NnCellIndex<Euclidean> {
             parse_legacy(&mut r)?
         } else {
             let dim = read_dim(&mut r)?;
-            let block_size = read_block_size(&mut r)?;
+            read_block_size(&mut r)?;
             let (points, alive) = read_points(&mut r, dim)?;
-            index_from(dim, block_size, points, alive)
+            index_from(dim, points, alive)
         };
         if r.remaining() != 0 {
             return Err(corrupt("trailing bytes after index payload"));
@@ -251,14 +251,8 @@ fn checksummed_payload(bytes: &[u8]) -> Result<&[u8], PersistError> {
     Ok(&body[8..])
 }
 
-fn index_from(
-    dim: usize,
-    block_size: usize,
-    points: Vec<Point>,
-    alive: Vec<bool>,
-) -> NnCellIndex<Euclidean> {
-    let cfg = BuildConfig::builder().block_size(block_size).build();
-    NnCellIndex::from_parts(dim, cfg, Euclidean, points, alive)
+fn index_from(dim: usize, points: Vec<Point>, alive: Vec<bool>) -> NnCellIndex<Euclidean> {
+    NnCellIndex::from_parts(dim, BuildConfig::default(), Euclidean, points, alive)
 }
 
 fn read_dim(r: &mut SliceReader<'_>) -> Result<usize, PersistError> {
@@ -269,12 +263,14 @@ fn read_dim(r: &mut SliceReader<'_>) -> Result<usize, PersistError> {
     Ok(dim)
 }
 
-fn read_block_size(r: &mut SliceReader<'_>) -> Result<usize, PersistError> {
+/// Validates the recorded block size. The point tree always uses
+/// [`PAGE_BYTES`], so the value is checked, then ignored.
+fn read_block_size(r: &mut SliceReader<'_>) -> Result<(), PersistError> {
     let block_size = r.u32()? as usize;
     if !(128..=1 << 26).contains(&block_size) {
         return Err(corrupt(format!("implausible block size {block_size}")));
     }
-    Ok(block_size)
+    Ok(())
 }
 
 /// The point slots: a count, then per slot a liveness byte and `dim`
@@ -332,7 +328,7 @@ fn parse_legacy(r: &mut SliceReader<'_>) -> Result<NnCellIndex<Euclidean>, Persi
         return Err(corrupt(format!("non-positive sphere radius {radius}")));
     }
     let _seed = r.u64()?;
-    let block_size = read_block_size(r)?;
+    read_block_size(r)?;
     let (points, alive) = read_points(r, dim)?;
     for (id, &live) in alive.iter().enumerate() {
         let k = r.u32()? as usize;
@@ -359,7 +355,7 @@ fn parse_legacy(r: &mut SliceReader<'_>) -> Result<NnCellIndex<Euclidean>, Persi
             }
         }
     }
-    Ok(index_from(dim, block_size, points, alive))
+    Ok(index_from(dim, points, alive))
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -388,7 +384,7 @@ pub(crate) fn legacy_file_bytes(index: &NnCellIndex<Euclidean>, checksummed: boo
     put_u32(&mut out, 0); // no decomposition
     put_f64(&mut out, f64::NAN); // default sphere radius
     put_u64(&mut out, 0); // seed
-    put_u32(&mut out, index.config().block_size as u32);
+    put_u32(&mut out, PAGE_BYTES as u32);
     put_u64(&mut out, index.points().len() as u64);
     for (id, p) in index.points().iter().enumerate() {
         out.push(index.is_live(id) as u8);
@@ -449,7 +445,6 @@ mod tests {
     fn assert_same_index(a: &NnCellIndex<Euclidean>, b: &NnCellIndex<Euclidean>, seed: u64) {
         assert_eq!(a.dim(), b.dim());
         assert_eq!(a.len(), b.len());
-        assert_eq!(a.config().block_size, b.config().block_size);
         assert_eq!(a.points().len(), b.points().len());
         for (id, p) in a.points().iter().enumerate() {
             assert_eq!(a.is_live(id), b.is_live(id), "liveness of {id}");

@@ -3,13 +3,8 @@
 //! * `QueryEngine::batch` is **bit-identical** for 1, 2, and N worker
 //!   threads, and identical to a linear scan — including
 //!   duplicate-distance tie-breaking (ascending point id).
-//! * Concurrent readers are safe: batches racing `reset_stats` /
-//!   `enable_cache` from another thread still return exact answers.
 
-use nncell_core::{
-    linear_scan_knn, linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryError,
-    Strategy as BuildStrategy,
-};
+use nncell_core::{linear_scan_knn, linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryError};
 use nncell_geom::{dist_sq, Point};
 use proptest::prelude::*;
 
@@ -43,9 +38,7 @@ proptest! {
         pts in point_set(3, 4, 40),
         queries in prop::collection::vec(prop::collection::vec(coord(), 3), 12),
         k in 1usize..6,
-        strat_pick in 0usize..4,
     ) {
-        let strategy = BuildStrategy::ALL[strat_pick];
         let index = NnCellIndex::build(
             pts.clone(),
             BuildConfig::default(),
@@ -58,15 +51,15 @@ proptest! {
         let seq = index.engine().with_threads(1).batch(&batch);
         let two = index.engine().with_threads(2).batch(&batch);
         let many = index.engine().with_threads(8).batch(&batch);
-        prop_assert_eq!(&seq, &two, "{:?}: 2 threads diverged", strategy);
-        prop_assert_eq!(&seq, &many, "{:?}: 8 threads diverged", strategy);
+        prop_assert_eq!(&seq, &two, "2 threads diverged");
+        prop_assert_eq!(&seq, &many, "8 threads diverged");
 
         for (q, r) in queries.iter().zip(&seq) {
             let r = r.as_ref().unwrap();
             // Ground truth, including tie order (stable sort, ascending id).
             let want = linear_scan_knn(&pts, q, k);
             let got: Vec<_> = r.iter().collect();
-            prop_assert_eq!(&got, &want, "{:?} k={} q={:?}", strategy, k, q);
+            prop_assert_eq!(&got, &want, "k={} q={:?}", k, q);
             prop_assert_eq!(r.best, linear_scan_nn(&pts, q).unwrap());
         }
     }
@@ -108,77 +101,6 @@ proptest! {
             prop_assert_eq!(&got, &want, "tie order diverged at {:?}", q.point());
         }
     }
-}
-
-/// Batches racing `reset_stats` and `enable_cache` from other threads stay
-/// exact: those mutators are `&self` (atomics + a mutex-guarded LRU), and
-/// the engine only reads index data they never touch.
-#[test]
-fn batch_races_reset_stats_and_enable_cache() {
-    let pts: Vec<Point> = (0..300)
-        .map(|i| {
-            Point::new(vec![
-                ((i * 37) % 300) as f64 / 300.0 + 0.001,
-                ((i * 91) % 300) as f64 / 300.0 + 0.001,
-            ])
-        })
-        .collect();
-    let index =
-        NnCellIndex::build(pts.clone(), BuildConfig::default())
-            .unwrap();
-    let queries: Vec<Query> = (0..400)
-        .map(|i| {
-            Query::knn(
-                vec![
-                    ((i * 13) % 400) as f64 / 400.0,
-                    ((i * 29) % 400) as f64 / 400.0,
-                ],
-                1 + i % 4,
-            )
-        })
-        .collect();
-    let expected = index.engine().with_threads(1).batch(&queries);
-
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|s| {
-        // Two chaos threads: one flips the page cache on and off, one
-        // resets the cost counters, both as fast as they can.
-        s.spawn(|| {
-            let mut on = false;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                index.enable_cache(if on { 64 } else { 0 });
-                on = !on;
-            }
-        });
-        s.spawn(|| {
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                index.reset_stats();
-            }
-        });
-        // Reader threads: repeated parallel batches must stay exact while
-        // the chaos threads run. Join them, then stop the chaos.
-        let readers: Vec<_> = (0..3)
-            .map(|_| {
-                s.spawn(|| {
-                    for _ in 0..10 {
-                        let got = index.engine().with_threads(4).batch(&queries);
-                        assert_eq!(got.len(), expected.len());
-                        for (g, e) in got.iter().zip(&expected) {
-                            let (g, e) = (g.as_ref().unwrap(), e.as_ref().unwrap());
-                            // Stats (pages) legitimately race the cache
-                            // toggle; the *answers* must not.
-                            assert_eq!(g.best, e.best);
-                            assert_eq!(g.rest, e.rest);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for r in readers {
-            r.join().expect("reader thread panicked");
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    });
 }
 
 /// The typed error contract, end to end.

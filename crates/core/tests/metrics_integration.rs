@@ -4,9 +4,7 @@
 //! tree's cost counters, the recovery report) — the registry is a mirror,
 //! never a second opinion.
 
-use nncell_core::{
-    BuildConfig, CellConfig, CellSet, NnCellIndex, Query, QueryScratch, Registry, ShardedIndex,
-};
+use nncell_core::{BuildConfig, NnCellIndex, Query, QueryScratch, Registry, ShardedIndex};
 use nncell_geom::Point;
 use std::sync::Arc;
 
@@ -178,19 +176,4 @@ fn durable_stack_reports_wal_and_rotation_counters() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn build_profile_times_every_phase() {
-    let index = NnCellIndex::build(grid(80), cfg()).unwrap();
-    let cells = CellSet::build(&index, CellConfig::builder().seed(3).threads(2).build());
-    let profile = cells.stats().profile;
-    assert_eq!(profile.constraint_selection.calls, 80);
-    assert_eq!(profile.lp_solve.calls, 80);
-    assert!(profile.lp_solve.nanos > 0);
-    assert_eq!(profile.decomposition.calls, 0); // decomposition off
-    assert_eq!(profile.bulk_load.calls, 1);
-    assert_eq!(profile.batches, 2);
-    assert!(profile.batch_max_nanos <= profile.batch_total_nanos);
-    assert!(profile.batch_max_nanos > 0);
 }

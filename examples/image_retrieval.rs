@@ -10,7 +10,8 @@
 //! cargo run --release --example image_retrieval
 //! ```
 
-use nncell::core::{BuildConfig, CellConfig, CellSet, NnCellIndex, Strategy};
+use nncell::cells::{CellConfig, CellSet, Strategy};
+use nncell::core::{BuildConfig, NnCellIndex};
 use nncell::data::{FourierGenerator, Generator};
 use nncell::index::{LinearScan, XTree};
 use std::time::Instant;

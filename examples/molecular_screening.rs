@@ -13,7 +13,8 @@
 //! cargo run --release --example molecular_screening
 //! ```
 
-use nncell::core::{BuildConfig, CellConfig, CellSet, NnCellIndex, Query, Strategy};
+use nncell::cells::{CellConfig, CellSet, Strategy};
+use nncell::core::{BuildConfig, NnCellIndex, Query};
 use nncell::data::{ClusteredGenerator, Generator};
 use nncell::geom::{Metric, Point, WeightedEuclidean};
 

@@ -7,9 +7,8 @@
 //! # writes nn_diagram_{uniform,grid,sparse}.svg to the working directory
 //! ```
 
-use nncell::core::{
-    average_overlap, BuildConfig, CellApprox, CellConfig, CellSet, NnCellIndex, Strategy,
-};
+use nncell::cells::{average_overlap, CellApprox, CellConfig, CellSet, Strategy};
+use nncell::core::{BuildConfig, NnCellIndex};
 use nncell::data::{Generator, GridGenerator, SparseGenerator, UniformGenerator};
 use std::fmt::Write as _;
 use std::fs;

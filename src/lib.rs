@@ -15,12 +15,16 @@
 //! * [`lp`] — simplex & Seidel LP solvers, Voronoi-cell extents ([`nncell_lp`])
 //! * [`index`] — R\*-tree and X-tree on a simulated page store ([`nncell_index`])
 //! * [`data`] — workload generators ([`nncell_data`])
-//! * [`core`] — the NN-cell index itself ([`nncell_core`])
+//! * [`core`] — the serving stack: index, queries, shards, write path
+//!   ([`nncell_core`])
+//! * [`cells`] — the paper's NN-cells, built offline from an index
+//!   ([`nncell_cells`])
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use nncell::core::{BuildConfig, CellConfig, CellSet, NnCellIndex, Query, QueryError, Strategy};
+//! use nncell::cells::{CellConfig, CellSet, Strategy};
+//! use nncell::core::{BuildConfig, NnCellIndex, Query, QueryError};
 //! use nncell::data::{UniformGenerator, Generator};
 //!
 //! let points = UniformGenerator::new(6).generate(500, 42);
@@ -52,10 +56,10 @@
 //! assert_eq!(cells.nn(&index, &[0.3; 6]), Some(scan));
 //! ```
 //!
-//! The serving index is configured by [`core::BuildConfig`] (block size,
-//! invalid-input policy); NN-cell construction by [`core::CellConfig`]:
-//! the constraint-selection [`core::Strategy`], the LP backend, cell
-//! decomposition and worker threads. Indexes persist with
+//! The serving index is configured by [`core::BuildConfig`] (its
+//! invalid-input policy); NN-cell construction by [`cells::CellConfig`]:
+//! the constraint-selection [`cells::Strategy`], the LP backend, cell
+//! decomposition, worker threads and the simulated block size. Indexes persist with
 //! `index.save(path)` / [`core::NnCellIndex::load`], support dynamic
 //! [`core::NnCellIndex::insert`] / [`core::NnCellIndex::remove`] (each one
 //! point-tree update), and work with any positive-diagonal weighted
@@ -80,6 +84,7 @@
 //! build / insert / remove / recover / query / info / stats / bench flows
 //! for the shell.
 
+pub use nncell_cells as cells;
 pub use nncell_core as core;
 pub use nncell_data as data;
 pub use nncell_geom as geom;
@@ -105,9 +110,10 @@ pub use nncell_core::Error;
 /// ```
 pub mod prelude {
     pub use crate::geom;
+    pub use nncell_cells::{CellConfig, CellSet, Strategy};
     pub use nncell_core::{
-        BuildConfig, CellConfig, CellSet, Error, NnCellIndex, Query, QueryEngine, QueryResponse,
-        Registry, ShardedIndex, Strategy,
+        BuildConfig, Error, NnCellIndex, Query, QueryEngine, QueryResponse, Registry,
+        ShardedIndex,
     };
     pub use nncell_geom::Point;
 }

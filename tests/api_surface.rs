@@ -27,6 +27,7 @@ const ROOTS: &[&str] = &[
     "crates/data/src",
     "crates/obs/src",
     "crates/core/src",
+    "crates/cells/src",
     "crates/server/src",
     "crates/bench/src",
 ];

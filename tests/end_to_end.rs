@@ -1,9 +1,7 @@
 //! Cross-crate integration tests: full pipelines from generator to query.
 
-use nncell::core::{
-    average_overlap, linear_scan_nn, BuildConfig, CellConfig, CellSet, NnCellIndex, Query,
-    QueryEngine, Strategy,
-};
+use nncell::cells::{average_overlap, CellConfig, CellSet, Strategy};
+use nncell::core::{linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryEngine};
 use nncell::data::{
     ClusteredGenerator, FourierGenerator, Generator, GridGenerator, SparseGenerator,
     UniformGenerator,

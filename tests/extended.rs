@@ -1,9 +1,10 @@
 //! Extended integration tests: persistence, kNN, weighted metrics, CLI-less
 //! end-to-end flows, and failure paths.
 
+use nncell::cells::{CellConfig, CellSet, Strategy};
 use nncell::core::{
-    linear_scan_knn, linear_scan_nn, BuildConfig, BuildError, CellConfig, CellSet, InputPolicy,
-    NnCellIndex, PersistError, Query, QueryEngine, Strategy,
+    linear_scan_knn, linear_scan_nn, BuildConfig, BuildError, InputPolicy, NnCellIndex,
+    PersistError, Query, QueryEngine,
 };
 use nncell::data::{FourierGenerator, Generator, UniformGenerator};
 use nncell::geom::{Metric, Point, WeightedEuclidean};
